@@ -6,7 +6,7 @@
 //! synthesis, the two collectors, the two mapping tools, and the four
 //! processed-dataset jobs — executed by a deterministic scheduler
 //! ([`execute`]) on scoped worker threads. Independent stages run
-//! concurrently (Skitter ∥ Mercator, the four `process()` jobs, the
+//! concurrently (Skitter ∥ Mercator, the four `process_chunked` jobs, the
 //! per-region population grids); dependent stages wait on their named
 //! dependencies.
 //!

@@ -22,7 +22,7 @@ use geotopo_measure::{
     SkitterOutput,
 };
 use geotopo_query::QuerySnapshot;
-use geotopo_stats::{ChunkExec, SerialExec};
+use geotopo_stats::ChunkExec;
 use geotopo_topology::generate::{GroundTruth, GroundTruthConfig};
 use geotopo_topology::RouterId;
 use serde::{Deserialize, Serialize};
@@ -604,9 +604,9 @@ impl Pipeline {
 
 /// Per-dataset processing tallies destined for the metrics registry.
 ///
-/// Accumulated in plain local fields inside the [`process_with_telemetry`]
-/// hot loop — the registry's locks are touched once per stage, when the
-/// owning stage absorbs the totals.
+/// Accumulated in plain local fields per node chunk of
+/// [`process_chunked`] — the registry's locks are touched once per
+/// stage, when the owning stage absorbs the totals.
 #[derive(Debug, Clone, Default)]
 pub struct ProcessTelemetry {
     /// Addresses handed to the mapping tool (alias interfaces counted
@@ -722,33 +722,6 @@ impl ProcessTelemetry {
         self.lpm_unmapped += other.lpm_unmapped;
         self.lpm_matched_len.merge(&other.lpm_matched_len);
     }
-}
-
-/// Applies geographic mapping and AS origination to a measured dataset.
-pub fn process(
-    measured: &MeasuredDataset,
-    mapper: &(dyn GeoMapper + Sync),
-    route_table: &RouteTable,
-    gt: &GroundTruth,
-) -> GeoDataset {
-    process_with_telemetry(measured, mapper, route_table, gt).0
-}
-
-/// Like [`process`], but also returns the per-tool resolution and LPM
-/// tallies the map stages feed into the metrics registry. Identical
-/// mapping decisions: the traced mapper entry point
-/// (`GeoMapper::map_resolved`) is draw-for-draw the same as `map`.
-///
-/// Serial reference path: [`process_chunked`] with the serial executor
-/// and no hint memo.
-// analyze: allow(dead-pub): the serial reference implementation root-package byte-identity tests compare process_chunked against
-pub fn process_with_telemetry(
-    measured: &MeasuredDataset,
-    mapper: &(dyn GeoMapper + Sync),
-    route_table: &RouteTable,
-    gt: &GroundTruth,
-) -> (GeoDataset, ProcessTelemetry) {
-    process_chunked(measured, mapper, route_table, gt, None, &SerialExec)
 }
 
 /// One node chunk's partial result: per-node outcomes plus the chunk's

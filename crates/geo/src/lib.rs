@@ -13,6 +13,8 @@
 //!   shoelace areas over projected points.
 //! - [`PatchGrid`]: the 75-arcmin × 75-arcmin patch grid of Section IV-B.
 //! - [`Region`]: latitude/longitude bounding boxes (Tables II, III, IV).
+//! - [`SpatialIndex`]: the grid bucket index behind radius and
+//!   nearest-neighbour searches (topology generation, the gazetteer).
 //! - [`box_counting_dimension`]: fractal dimension via box counting,
 //!   confirming the ~1.5 dimension reported by Yook et al. (Section II).
 //!
@@ -28,6 +30,7 @@ pub mod grid;
 pub mod hull;
 pub mod projection;
 pub mod region;
+pub mod spatial;
 
 pub use boxcount::{box_counting_dimension, BoxCountResult};
 pub use coords::GeoPoint;
@@ -36,3 +39,4 @@ pub use grid::{PatchCell, PatchGrid};
 pub use hull::{convex_hull, polygon_area, PlanarPoint};
 pub use projection::AlbersProjection;
 pub use region::{Region, RegionSet};
+pub use spatial::SpatialIndex;

@@ -6,7 +6,7 @@
 //! and the parsers resolve codes back to coordinates. City-granularity
 //! accuracy is therefore inherent, exactly as in [28].
 
-use geotopo_geo::{haversine_miles, GeoPoint};
+use geotopo_geo::{GeoPoint, SpatialIndex};
 use geotopo_population::PopulationGrid;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -26,13 +26,13 @@ pub struct City {
 /// synthetic towns derived from a population raster (real hostname
 /// conventions name thousands of towns, not just hub airports).
 ///
-/// Nearest-city queries use a 1° bucket index with expanding-ring
-/// search, so lookups stay fast with tens of thousands of entries.
+/// Nearest-city queries run exactly on a 1° [`SpatialIndex`] over the
+/// city locations, so lookups stay fast with tens of thousands of entries.
 #[derive(Debug, Clone)]
 pub struct Gazetteer {
     cities: Vec<City>,
     by_code: HashMap<String, u32>,
-    buckets: HashMap<(i16, i16), Vec<u32>>,
+    index: SpatialIndex,
 }
 
 macro_rules! city {
@@ -202,27 +202,30 @@ impl Gazetteer {
         let mut g = Gazetteer {
             cities: Vec::with_capacity(cities.len()),
             by_code: HashMap::new(),
-            buckets: HashMap::new(),
+            index: SpatialIndex::new(Vec::new(), 1.0),
         };
         for c in cities {
             g.push(c);
         }
+        g.reindex();
         g
     }
 
+    /// Appends `city` unless its code is taken (reindex after a batch).
     fn push(&mut self, city: City) -> bool {
         let code = city.code.to_ascii_uppercase();
         if self.by_code.contains_key(&code) {
             return false;
         }
-        let idx = self.cities.len() as u32;
-        self.by_code.insert(code, idx);
-        self.buckets
-            .entry(bucket_of(&city.location))
-            .or_default()
-            .push(idx);
+        self.by_code.insert(code, self.cities.len() as u32);
         self.cities.push(city);
         true
+    }
+
+    /// Rebuilds the spatial index over the current city list.
+    fn reindex(&mut self) {
+        let locations = self.cities.iter().map(|c| c.location).collect();
+        self.index = SpatialIndex::new(locations, 1.0);
     }
 
     /// Densifies the gazetteer with synthetic towns: one per raster cell
@@ -238,7 +241,7 @@ impl Gazetteer {
         const CAPACITY: u32 = 26 * 26 * 26 * 26;
         let mut added = 0usize;
         let mut counter = 0u32;
-        for cell in grid.grid().cells() {
+        'cells: for cell in grid.grid().cells() {
             let pop = grid.cells()[grid.grid().flat_index(cell)];
             if pop < min_cell_pop {
                 continue;
@@ -251,7 +254,7 @@ impl Gazetteer {
             // has no Z-initial codes, so no collisions with it).
             loop {
                 if counter >= CAPACITY {
-                    return added;
+                    break 'cells;
                 }
                 let code = format!(
                     "Z{}{}{}{}",
@@ -272,6 +275,7 @@ impl Gazetteer {
                 }
             }
         }
+        self.reindex();
         added
     }
 
@@ -292,16 +296,16 @@ impl Gazetteer {
 
     /// The gazetteer city nearest to `p` with its distance in miles.
     pub fn nearest(&self, p: &GeoPoint) -> Option<(&City, f64)> {
-        self.nearest_idx(p)
-            .map(|(i, d)| (&self.cities[i as usize], d))
+        let (i, d) = self.nearest_idx(p)?;
+        Some((&self.cities[i as usize], d))
     }
 
     /// [`Gazetteer::nearest`] with an optional memoized answer: a
     /// `Some` hint (a prior [`Gazetteer::nearest_idx`] result for `p`
     /// against *this* gazetteer) is served without searching, `None`
-    /// falls back to the full expanding-ring scan. The mapping hot
-    /// paths call this with per-router hints so co-located interfaces
-    /// pay for one search, not one each.
+    /// falls back to the full search. The mapping hot paths call this
+    /// with per-router hints so co-located interfaces pay for one
+    /// search, not one each.
     pub fn nearest_hinted(&self, p: &GeoPoint, hint: Option<(u32, f64)>) -> Option<(&City, f64)> {
         match hint {
             Some((i, d)) => Some((&self.cities[i as usize], d)),
@@ -312,50 +316,10 @@ impl Gazetteer {
     /// Index (into [`Gazetteer::cities`]) and distance in miles of the
     /// single nearest city — the allocation-free core of
     /// [`Gazetteer::nearest`], shaped for the query snapshot's hot
-    /// lookup path: one best candidate is tracked through the expanding
-    /// ring scan, no candidate vector is built. Ties break toward the
-    /// lower index.
+    /// lookup path. Ties break toward the lower index.
     // analyze: hot-path-root
     pub fn nearest_idx(&self, p: &GeoPoint) -> Option<(u32, f64)> {
-        if self.cities.is_empty() {
-            return None;
-        }
-        let (pr, pc) = bucket_of(p);
-        let mut best: Option<(u32, f64)> = None;
-        for ring in 0i16..=181 {
-            for dr in -ring..=ring {
-                for dc in -ring..=ring {
-                    if dr.abs() != ring && dc.abs() != ring {
-                        continue; // boundary only; interior already done
-                    }
-                    let Some(bucket) = self.buckets.get(&(pr + dr, wrap_col(pc + dc))) else {
-                        continue;
-                    };
-                    for &i in bucket {
-                        let d = haversine_miles(p, &self.cities[i as usize].location);
-                        let better = match best {
-                            None => true,
-                            Some((bi, bd)) => match d.total_cmp(&bd) {
-                                std::cmp::Ordering::Less => true,
-                                std::cmp::Ordering::Equal => i < bi,
-                                std::cmp::Ordering::Greater => false,
-                            },
-                        };
-                        if better {
-                            best = Some((i, d));
-                        }
-                    }
-                }
-            }
-            if let Some((_, bd)) = best {
-                // Same termination bound as nearest_k: a city in an
-                // unscanned bucket is more than `ring` degrees away.
-                if bd <= ring_bound_miles(ring) {
-                    return best;
-                }
-            }
-        }
-        best
+        self.index.nearest(p)
     }
 
     /// The `k`-th nearest city (0 = nearest).
@@ -365,41 +329,9 @@ impl Gazetteer {
             .map(|&(i, _)| &self.cities[i as usize])
     }
 
-    /// The `k` nearest cities as (index, distance), closest first, via
-    /// expanding-ring bucket search. Each ring scans only its boundary
-    /// buckets; the search stops once the k-th best hit provably beats
-    /// anything an unscanned bucket could hold.
+    /// The `k` nearest cities as (index, distance), closest first.
     fn nearest_k(&self, p: &GeoPoint, k: usize) -> Vec<(u32, f64)> {
-        if self.cities.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let (pr, pc) = bucket_of(p);
-        let mut best: Vec<(u32, f64)> = Vec::new();
-        for ring in 0i16..=181 {
-            for dr in -ring..=ring {
-                for dc in -ring..=ring {
-                    if dr.abs() != ring && dc.abs() != ring {
-                        continue; // boundary only; interior already done
-                    }
-                    if let Some(bucket) = self.buckets.get(&(pr + dr, wrap_col(pc + dc))) {
-                        for &i in bucket {
-                            let d = haversine_miles(p, &self.cities[i as usize].location);
-                            best.push((i, d));
-                        }
-                    }
-                }
-            }
-            if best.len() >= k {
-                sort_dedup_candidates(&mut best);
-                if best.len() >= k && best[k - 1].1 <= ring_bound_miles(ring) {
-                    best.truncate(k);
-                    return best;
-                }
-            }
-        }
-        sort_dedup_candidates(&mut best);
-        best.truncate(k);
-        best
+        self.index.nearest_k(p, k)
     }
 
     /// Looks up a city by its code (case-insensitive).
@@ -408,47 +340,6 @@ impl Gazetteer {
             .get(&code.to_ascii_uppercase())
             .map(|&i| &self.cities[i as usize])
     }
-}
-
-/// 1°×1° bucket key. Column 180 (a point at exactly +180° longitude)
-/// wraps to -180: probe columns are normalized into [-180, 179] by
-/// [`wrap_col`], so a city stored under column 180 would be invisible
-/// to every query — the antimeridian bug this normalization fixes.
-fn bucket_of(p: &GeoPoint) -> (i16, i16) {
-    (p.lat().floor() as i16, wrap_col(p.lon().floor() as i16))
-}
-
-/// Normalizes a (possibly ring-offset) bucket column into [-180, 179],
-/// wrapping across the date line.
-fn wrap_col(mut col: i16) -> i16 {
-    if col < -180 {
-        col += 360;
-    } else if col >= 180 {
-        col -= 360;
-    }
-    col
-}
-
-/// The expanding-ring termination bound: a city in a bucket the ring
-/// has not scanned differs by more than `ring` bucket indices, i.e. by
-/// more than `ring` degrees of latitude or longitude. The tightest mile
-/// bound is the longitude one at high latitude; 0.25 covers |lat| ≤ 75.5°.
-fn ring_bound_miles(ring: i16) -> f64 {
-    69.0 * f64::from(ring) * 0.25
-}
-
-/// Sorts candidates by (distance, index) and drops duplicate indices:
-/// once the ring radius exceeds 180 columns the date-line wrap makes
-/// two `dc` offsets land on the same bucket, so a boundary scan can
-/// visit one bucket twice — without the dedup, `nearest_k` could hand
-/// back the same city in two result slots.
-fn sort_dedup_candidates(best: &mut Vec<(u32, f64)>) {
-    best.sort_by(|a, b| {
-        a.1.partial_cmp(&b.1)
-            .expect("finite") // lint: allow(unwrap): haversine of valid coordinates is finite
-            .then_with(|| a.0.cmp(&b.0))
-    });
-    best.dedup_by_key(|e| e.0);
 }
 
 #[cfg(test)]
@@ -612,21 +503,102 @@ mod tests {
         }
     }
 
+    /// Brute-force reference: every city as (index, distance bits),
+    /// ordered by (distance `total_cmp`, index).
+    fn brute_force_order(g: &Gazetteer, p: &GeoPoint) -> Vec<(u32, u64)> {
+        let mut all: Vec<(u32, f64)> = g
+            .cities()
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (i as u32, geotopo_geo::haversine_miles(p, &c.location)))
+            .collect();
+        all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        all.into_iter().map(|(i, d)| (i, d.to_bits())).collect()
+    }
+
+    /// Asserts `nearest_idx`, `nearest_k` and `kth_nearest` agree with
+    /// the brute-force order at `p`, distances bit for bit.
+    fn assert_matches_brute_force(g: &Gazetteer, p: &GeoPoint) {
+        let want = brute_force_order(g, p);
+        let bits = |(i, d): (u32, f64)| (i, d.to_bits());
+        assert_eq!(
+            g.nearest_idx(p).map(bits),
+            want.first().copied(),
+            "nearest_idx at {p:?}"
+        );
+        for k in [1, 2, 5, g.len() + 1] {
+            let got: Vec<(u32, u64)> = g.nearest_k(p, k).into_iter().map(bits).collect();
+            assert_eq!(got, want[..k.min(want.len())], "nearest_k({k}) at {p:?}");
+        }
+        for k in [0, 1, 4, g.len()] {
+            let got = g.kth_nearest(p, k).map(|c| c.code.as_str());
+            let want_code = want
+                .get(k)
+                .map(|&(i, _)| g.cities()[i as usize].code.as_str());
+            assert_eq!(got, want_code, "kth_nearest({k}) at {p:?}");
+        }
+    }
+
     #[test]
-    fn nearest_idx_agrees_with_nearest_k() {
-        let g = Gazetteer::builtin();
-        for (lat, lon) in [
-            (42.37, -71.11),
-            (0.0, -170.0),
-            (-33.0, 151.0),
-            (10.0, 180.0),
-            (48.80, 2.13),
-        ] {
-            let p = GeoPoint::new(lat, lon).unwrap();
-            let (i, d) = g.nearest_idx(&p).unwrap();
-            let k = g.nearest_k(&p, 1)[0];
-            assert_eq!(i, k.0, "index diverged at ({lat}, {lon})");
-            assert!((d - k.1).abs() < 1e-9);
+    fn nearest_search_matches_brute_force() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Draws a coordinate from a mix of the whole globe, the polar
+        // caps, the antimeridian band and its exact ±180° seam.
+        fn coordinate(rng: &mut StdRng) -> (f64, f64) {
+            let lat: f64 = rng.random_range(-90.0..=90.0);
+            let lon: f64 = rng.random_range(-180.0..=180.0);
+            match rng.random_range(0..6) {
+                0 => (lat.signum() * rng.random_range(80.0..=90.0), lon),
+                1 => (lat, lon.signum() * rng.random_range(178.0..=180.0)),
+                2 => (lat, if rng.random_bool(0.5) { 180.0 } else { -180.0 }),
+                3 => ([90.0, -90.0][rng.random_range(0..2)], lon),
+                _ => (lat, lon),
+            }
+        }
+
+        // X is 35.2 miles from the probe and Y 82.9 miles, but X's bucket
+        // column lies 6° of longitude away: near the pole, a stopping
+        // bound that ignores latitude gives up on it too early.
+        let g = Gazetteer::from_cities(vec![
+            city!("Y", "YYY", 84.3, 30.0),
+            city!("X", "XXX", 85.5, 36.5),
+        ]);
+        let p = GeoPoint::new(85.5, 30.0).unwrap();
+        assert_eq!(g.nearest(&p).unwrap().0.code, "XXX");
+        assert_matches_brute_force(&g, &p);
+
+        let mut rng = StdRng::seed_from_u64(0x6A2E);
+        for _ in 0..40 {
+            let n = rng.random_range(1..=40);
+            let mut cities: Vec<City> = Vec::with_capacity(n);
+            for i in 0..n {
+                // Every fifth city repeats an earlier location: exact
+                // distance ties must go to the lower index.
+                let location = match cities.get(rng.random_range(0..=i)) {
+                    Some(c) if i % 5 == 4 => c.location,
+                    _ => {
+                        let (lat, lon) = coordinate(&mut rng);
+                        GeoPoint::new(lat, lon).unwrap()
+                    }
+                };
+                cities.push(City {
+                    name: format!("city {i}"),
+                    code: format!("C{i:03}"),
+                    location,
+                });
+            }
+            let g = Gazetteer::from_cities(cities);
+            for q in 0..20 {
+                let p = if q % 8 == 7 {
+                    g.cities()[rng.random_range(0..g.len())].location
+                } else {
+                    let (lat, lon) = coordinate(&mut rng);
+                    GeoPoint::new(lat, lon).unwrap()
+                };
+                assert_matches_brute_force(&g, &p);
+            }
         }
     }
 }

@@ -18,9 +18,8 @@
 use super::waxman::GenError;
 use crate::graph::{RouterId, Topology, TopologyBuilder};
 use crate::latency::LatencyModel;
-use crate::spatial::SpatialIndex;
 use geotopo_bgp::AsId;
-use geotopo_geo::{GeoPoint, Region};
+use geotopo_geo::{GeoPoint, Region, SpatialIndex};
 use geotopo_population::SyntheticPopulation;
 use geotopo_stats::Zipf;
 use rand::rngs::StdRng;
@@ -164,7 +163,8 @@ pub fn geogen(cfg: &GeoGenConfig) -> Result<GeoGenOutput, GenError> {
         let mut claimed = 0usize;
         let mut radius = 50.0;
         while claimed < size && radius < 25_000.0 {
-            let nearby = spatial.within(&locations[seed_r], radius, None);
+            let mut nearby = Vec::new();
+            spatial.for_each_in_radius(&locations[seed_r], radius, |i| nearby.push(i));
             for i in nearby {
                 if claimed >= size {
                     break;

@@ -24,10 +24,9 @@
 //!   Section III-C.
 
 use crate::graph::{RouterId, Topology, TopologyBuilder};
-use crate::spatial::SpatialIndex;
 use geotopo_bgp::alloc::{AsAllocation, PrefixAllocator};
 use geotopo_bgp::AsId;
-use geotopo_geo::GeoPoint;
+use geotopo_geo::{GeoPoint, SpatialIndex};
 use geotopo_population::{EconomicProfile, PointSampler, PopulationGrid, WorldModel};
 use geotopo_stats::{ChunkExec, SerialExec, Zipf};
 use rand::rngs::StdRng;

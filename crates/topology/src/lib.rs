@@ -6,8 +6,6 @@
 //!
 //! - [`graph`]: the [`Topology`] data structure (routers, interfaces,
 //!   links, adjacency) with validated construction.
-//! - [`spatial`]: a grid spatial index for nearest-neighbour queries
-//!   during generation.
 //! - [`metrics`]: degree distributions, connectivity, link-length
 //!   profiles.
 //! - [`latency`]: geographic latency labelling (the paper's motivating
@@ -28,10 +26,8 @@ pub mod generate;
 pub mod graph;
 pub mod latency;
 pub mod metrics;
-pub mod spatial;
 
 pub use graph::{
     AdjEntry, Interface, InterfaceId, Link, LinkId, Router, RouterId, Topology, TopologyBuilder,
     TopologyError, TopologyInvariant,
 };
-pub use spatial::SpatialIndex;

@@ -253,6 +253,18 @@ impl SpatialIndex {
         self.slot_idx.is_empty()
     }
 
+    /// Indices of all points within `radius_miles` of `center`
+    /// (inclusive), excluding `exclude` if given.
+    pub fn within(&self, center: &GeoPoint, radius_miles: f64, exclude: Option<u32>) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.for_each_in_radius(center, radius_miles, |i| {
+            if Some(i) != exclude {
+                out.push(i);
+            }
+        });
+        out
+    }
+
     /// Calls `visit(slot, h)` for a superset of the points within the
     /// radius, in bucket-scan order (rows south to north, then columns
     /// west to east), each bucket the radius can reach once.
@@ -272,7 +284,8 @@ impl SpatialIndex {
             180.0
         } else {
             let sin_ratio = reach_deg.to_radians().sin() / center.lat().to_radians().cos();
-            sin_ratio.asin().to_degrees()
+            // Roundoff can lift the ratio just past 1 near the pole.
+            sin_ratio.min(1.0).asin().to_degrees()
         };
         let lon_reach = ((lon_reach_deg / self.cell_deg).ceil() as i32 + 1).min(self.lon_cells / 2);
         // Offsets ±lon_cells/2 wrap to one column: visit it once.
@@ -347,6 +360,9 @@ impl SpatialIndex {
     /// [`SpatialIndex::nearest`]'s order, each point once; fewer if the
     /// index holds fewer than `k`.
     pub fn nearest_k(&self, center: &GeoPoint, k: usize) -> Vec<(u32, f64)> {
+        if k == 0 {
+            return Vec::new();
+        }
         let mut best: Vec<(u32, f64)> = Vec::with_capacity(k.min(self.len()));
         self.search(center, |i, d| {
             let at = best.partition_point(|&e| precedes(e, (i, d)));
@@ -438,12 +454,6 @@ mod tests {
         GeoPoint::new(lat, lon).unwrap()
     }
 
-    fn within(idx: &SpatialIndex, center: &GeoPoint, radius: f64) -> Vec<u32> {
-        let mut out = Vec::new();
-        idx.for_each_in_radius(center, radius, |i| out.push(i));
-        out
-    }
-
     #[test]
     fn within_matches_brute_force() {
         let pts: Vec<GeoPoint> = (0..500)
@@ -456,7 +466,7 @@ mod tests {
         let idx = SpatialIndex::new(pts.clone(), 1.0);
         let center = p(38.0, -100.0);
         for radius in [50.0, 200.0, 800.0] {
-            let mut got = within(&idx, &center, radius);
+            let mut got = idx.within(&center, radius, None);
             got.sort_unstable();
             let mut want: Vec<u32> = pts
                 .iter()
@@ -470,6 +480,15 @@ mod tests {
     }
 
     #[test]
+    fn exclude_is_honored() {
+        let pts = vec![p(10.0, 10.0), p(10.1, 10.1)];
+        let idx = SpatialIndex::new(pts, 1.0);
+        let center = p(10.0, 10.0);
+        let got = idx.within(&center, 100.0, Some(0));
+        assert_eq!(got, vec![1]);
+    }
+
+    #[test]
     fn nearest_finds_closest() {
         let pts = vec![p(0.0, 0.0), p(5.0, 5.0), p(0.2, 0.2)];
         let idx = SpatialIndex::new(pts, 1.0);
@@ -479,9 +498,11 @@ mod tests {
     }
 
     #[test]
-    fn nearest_reaches_the_far_side_of_the_globe() {
+    fn nearest_falls_back_to_full_scan() {
         let pts = vec![p(80.0, 170.0)];
         let idx = SpatialIndex::new(pts, 1.0);
+        // Nothing near the antipode-ish probe; the widening scan still
+        // finds the single point.
         let (i, _) = idx.nearest(&p(-80.0, -10.0)).unwrap();
         assert_eq!(i, 0);
     }
@@ -492,7 +513,7 @@ mod tests {
         assert!(idx.is_empty());
         assert_eq!(idx.nearest(&p(0.0, 0.0)), None);
         assert!(idx.nearest_k(&p(0.0, 0.0), 3).is_empty());
-        assert!(within(&idx, &p(0.0, 0.0), 1000.0).is_empty());
+        assert!(idx.within(&p(0.0, 0.0), 1000.0, None).is_empty());
     }
 
     #[test]
@@ -500,7 +521,7 @@ mod tests {
         let idx = SpatialIndex::new(vec![p(10.0, 180.0)], 1.0);
         for lon in [179.5, -179.5, 180.0] {
             let center = p(10.0, lon);
-            assert_eq!(within(&idx, &center, 50.0), vec![0], "lon {lon}");
+            assert_eq!(idx.within(&center, 50.0, None), vec![0], "lon {lon}");
             assert_eq!(idx.nearest(&center).map(|(i, _)| i), Some(0), "lon {lon}");
         }
     }
@@ -509,7 +530,7 @@ mod tests {
     fn date_line_neighbors_found() {
         let pts = vec![p(0.0, 179.9), p(0.0, -179.9)];
         let idx = SpatialIndex::new(pts, 1.0);
-        let got = within(&idx, &p(0.0, 179.95), 50.0);
+        let got = idx.within(&p(0.0, 179.95), 50.0, None);
         assert_eq!(got.len(), 2, "date-line wrap missed: {got:?}");
     }
 
@@ -635,7 +656,7 @@ mod tests {
                 Some(want[0]),
                 "nearest at {clat},{clon}"
             );
-            for k in [1, 3, 10, pts.len() + 5] {
+            for k in [0, 1, 3, 10, pts.len() + 5] {
                 let got: Vec<(u32, u64)> =
                     idx.nearest_k(&center, k).into_iter().map(bits).collect();
                 let n = k.min(pts.len());

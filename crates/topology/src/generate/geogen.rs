@@ -163,8 +163,7 @@ pub fn geogen(cfg: &GeoGenConfig) -> Result<GeoGenOutput, GenError> {
         let mut claimed = 0usize;
         let mut radius = 50.0;
         while claimed < size && radius < 25_000.0 {
-            let mut nearby = Vec::new();
-            spatial.for_each_in_radius(&locations[seed_r], radius, |i| nearby.push(i));
+            let nearby = spatial.within(&locations[seed_r], radius, None);
             for i in nearby {
                 if claimed >= size {
                     break;

@@ -44,8 +44,7 @@ pub struct SpatialIndex {
 
 /// A query centre with its per-query constants.
 struct Probe {
-    lat: f64,
-    lon: f64,
+    at: GeoPoint,
     lat_rad: f64,
     lon_rad: f64,
     cos_lat: f64,
@@ -60,11 +59,11 @@ fn hav_deg(deg: f64) -> f64 {
     s * s
 }
 
-/// The haversine term of `miles` inflated by a relative margin far above
-/// f64 roundoff and capped at the antipode: bounds are compared against
-/// it, so they reject only what is provably farther than `miles`.
-fn padded_hav(miles: f64) -> f64 {
-    let s = (miles * 1.000_001 / (2.0 * EARTH_RADIUS_MILES))
+/// The haversine term of `miles` scaled by `margin`, capped at the
+/// antipode. Bounds pad by 1 + 1e-6, far above f64 roundoff, so they
+/// reject only what is provably farther than `miles`.
+fn hav_miles(miles: f64, margin: f64) -> f64 {
+    let s = (miles * margin / (2.0 * EARTH_RADIUS_MILES))
         .min(FRAC_PI_2)
         .sin();
     s * s
@@ -102,15 +101,14 @@ impl SpatialIndex {
             bucket_start: vec![0],
             row_cos_min: Vec::new(),
             slot_idx: Vec::new(),
-            slot_lat_rad: Vec::with_capacity(points.len()),
-            slot_lon_rad: Vec::with_capacity(points.len()),
-            slot_cos_lat: Vec::with_capacity(points.len()),
+            slot_lat_rad: Vec::new(),
+            slot_lon_rad: Vec::new(),
+            slot_cos_lat: Vec::new(),
         };
         let keys: Vec<(i32, i32)> = points.iter().map(|p| index.key(p)).collect();
+        // No points, no rows: `row_max` is then `row_min - 1`.
         let rows = keys.iter().map(|k| k.0);
-        let (Some(row_min), Some(row_max)) = (rows.clone().min(), rows.max()) else {
-            return index;
-        };
+        let (row_min, row_max) = (rows.clone().min().unwrap_or(0), rows.max().unwrap_or(-1));
         index.row_min = row_min;
         let cos = |row: i32| (f64::from(row) * cell_deg).to_radians().cos();
         index.row_cos_min = (row_min..=row_max)
@@ -119,24 +117,22 @@ impl SpatialIndex {
         let buckets: Vec<usize> = keys.iter().map(|&(r, c)| index.bucket(r, c)).collect();
         index.bucket_start = vec![0; index.row_cos_min.len() * lon_cells as usize + 1];
         for &b in &buckets {
-            index.bucket_start[b + 1] += 1;
+            index.bucket_start[b] += 1;
         }
         for b in 1..index.bucket_start.len() {
             index.bucket_start[b] += index.bucket_start[b - 1];
         }
-        // Counting placement: each bucket lists its points in ascending order.
-        let mut next = index.bucket_start.clone();
+        // Counting sort: each entry now ends its bucket; placing points in
+        // reverse walks it back to the start, ascending within a bucket.
         index.slot_idx = vec![0; points.len()];
-        for (i, &b) in buckets.iter().enumerate() {
-            index.slot_idx[next[b] as usize] = i as u32;
-            next[b] += 1;
+        for (i, &b) in buckets.iter().enumerate().rev() {
+            index.bucket_start[b] -= 1;
+            index.slot_idx[index.bucket_start[b] as usize] = i as u32;
         }
-        for &i in &index.slot_idx {
-            let p = &points[i as usize];
-            index.slot_lat_rad.push(p.lat_rad());
-            index.slot_lon_rad.push(p.lon_rad());
-            index.slot_cos_lat.push(p.lat_rad().cos());
-        }
+        let slot_points = index.slot_idx.iter().map(|&i| &points[i as usize]);
+        index.slot_lat_rad = slot_points.clone().map(GeoPoint::lat_rad).collect();
+        index.slot_lon_rad = slot_points.clone().map(GeoPoint::lon_rad).collect();
+        index.slot_cos_lat = slot_points.map(|p| p.lat_rad().cos()).collect();
         index
     }
 
@@ -175,11 +171,10 @@ impl SpatialIndex {
 
     fn probe(&self, center: &GeoPoint) -> Probe {
         let (row, col) = self.key(center);
-        let (lat, lon, lat_rad) = (center.lat(), center.lon(), center.lat_rad());
-        let (lon_rad, cos_lat) = (center.lon_rad(), lat_rad.cos());
+        let (lat_rad, lon_rad) = (center.lat_rad(), center.lon_rad());
+        let cos_lat = lat_rad.cos();
         Probe {
-            lat,
-            lon,
+            at: *center,
             lat_rad,
             lon_rad,
             cos_lat,
@@ -192,7 +187,7 @@ impl SpatialIndex {
     /// bound on `h` for every point in the row.
     fn row_hav_min(&self, probe: &Probe, row: i32) -> f64 {
         let lat_lo = f64::from(row) * self.cell_deg;
-        let dphi_min_deg = (lat_lo - probe.lat).max(probe.lat - lat_lo - self.cell_deg);
+        let dphi_min_deg = (lat_lo - probe.at.lat()).max(probe.at.lat() - lat_lo - self.cell_deg);
         hav_deg(dphi_min_deg.max(0.0))
     }
 
@@ -221,7 +216,7 @@ impl SpatialIndex {
     ) -> usize {
         let slots = self.slots(row, col, col);
         // Degrees east from the probe to the column's west edge.
-        let east = (f64::from(col) * self.cell_deg - probe.lon).rem_euclid(360.0);
+        let east = (f64::from(col) * self.cell_deg - probe.at.lon()).rem_euclid(360.0);
         let dlam_min_deg = east.min(360.0 - self.cell_deg - east).max(0.0);
         if slots.is_empty() || self.cell_hav_min(probe, row, hav_phi_min, dlam_min_deg) > cutoff {
             return 0;
@@ -277,21 +272,20 @@ impl SpatialIndex {
         // Reach: the radius as an angle ρ (over-estimated at 69 miles per
         // degree) plus a cell. On a cap of radius ρ at latitude φ, |Δλ|
         // peaks at asin(sin ρ / cos φ); a cap over a pole spans every
-        // longitude.
+        // longitude (so does a ratio that roundoff lifts to 1).
         let reach_deg = radius_miles / 69.0;
         let lat_reach = (reach_deg / self.cell_deg).ceil() as i32 + 1;
-        let lon_reach_deg = if center.lat().abs() + reach_deg >= 90.0 {
+        let sin_ratio = reach_deg.to_radians().sin() / center.lat().to_radians().cos();
+        let lon_reach_deg = if center.lat().abs() + reach_deg >= 90.0 || sin_ratio >= 1.0 {
             180.0
         } else {
-            let sin_ratio = reach_deg.to_radians().sin() / center.lat().to_radians().cos();
-            // Roundoff can lift the ratio just past 1 near the pole.
-            sin_ratio.min(1.0).asin().to_degrees()
+            sin_ratio.asin().to_degrees()
         };
         let lon_reach = ((lon_reach_deg / self.cell_deg).ceil() as i32 + 1).min(self.lon_cells / 2);
         // Offsets ±lon_cells/2 wrap to one column: visit it once.
         let dc_hi = lon_reach.min(self.lon_cells - 1 - lon_reach);
         let probe = self.probe(center);
-        let cutoff = padded_hav(radius_miles);
+        let cutoff = hav_miles(radius_miles, 1.000_001);
         for row in probe.row - lat_reach..=probe.row + lat_reach {
             let hav_phi_min = self.row_hav_min(&probe, row);
             if hav_phi_min > cutoff {
@@ -333,10 +327,7 @@ impl SpatialIndex {
         radius_miles: f64,
         mut f: F,
     ) {
-        let hav_radius_shrunk = {
-            let s = ((radius_miles * 0.999_999) / (2.0 * EARTH_RADIUS_MILES)).sin();
-            s * s
-        };
+        let hav_radius_shrunk = hav_miles(radius_miles, 0.999_999);
         self.scan_candidates(center, radius_miles, |k, h| {
             if h < hav_radius_shrunk || finish_distance(h) <= radius_miles {
                 f(self.slot_idx[k]);
@@ -390,11 +381,9 @@ impl SpatialIndex {
         let half = self.lon_cells / 2;
         let (dc_min, dc_max) = (-half, self.lon_cells - 1 - half);
         // Degrees from the probe to its column's nearer edge.
-        let off = (probe.lon - f64::from(probe.col) * self.cell_deg).rem_euclid(360.0);
+        let off = (probe.at.lon() - f64::from(probe.col) * self.cell_deg).rem_euclid(360.0);
         let edge_gap = off.min(self.cell_deg - off).max(0.0);
-        let last_ring = (probe.row - self.row_min)
-            .max(row_max - probe.row)
-            .max(half);
+        let last_ring = half.max(probe.row - self.row_min).max(row_max - probe.row);
         let (mut cutoff, mut seen) = (f64::INFINITY, 0);
         for ring in 0..=last_ring {
             // Columns beyond the ring lie at least `col_gap` degrees away.
@@ -425,7 +414,7 @@ impl SpatialIndex {
                     let cell = (row, self.wrap_col(probe.col + dc));
                     seen += self.scan_bucket(&probe, cell, hav_phi_min, cutoff, &mut |k, h| {
                         if let Some(d) = offer(self.slot_idx[k], finish_distance(h)) {
-                            cutoff = padded_hav(d);
+                            cutoff = hav_miles(d, 1.000_001);
                         }
                     });
                 }

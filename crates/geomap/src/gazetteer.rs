@@ -224,8 +224,7 @@ impl Gazetteer {
 
     /// Rebuilds the spatial index over the current city list.
     fn reindex(&mut self) {
-        let locations = self.cities.iter().map(|c| c.location).collect();
-        self.index = SpatialIndex::new(locations, 1.0);
+        self.index = SpatialIndex::new(self.cities.iter().map(|c| c.location).collect(), 1.0);
     }
 
     /// Densifies the gazetteer with synthetic towns: one per raster cell

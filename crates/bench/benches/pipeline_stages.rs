@@ -52,6 +52,9 @@
 
 // Bench code: aborting on setup failure is the right behaviour.
 #![allow(clippy::unwrap_used)]
+// A harness: it times its own runs and writes its own JSON baselines,
+// and never feeds pipeline output.
+#![allow(clippy::disallowed_methods)]
 
 use geotopo_core::engine::{resolve_threads, StageReport};
 use geotopo_core::pipeline::{Pipeline, PipelineConfig};

@@ -71,8 +71,9 @@ pub type Artifact = Arc<dyn Any + Send + Sync>;
 
 /// A handle to the store's on-disk cache directory, carrying the
 /// [`Vfs`] seam every read, write and rename must go through — stages
-/// never touch `std::fs` directly (GT-LINT-012), so the chaos suite can
-/// interpose deterministic disk faults on every cache operation.
+/// never touch `std::fs` directly (clippy's `disallowed_methods`), so the
+/// chaos suite can interpose deterministic disk faults on every cache
+/// operation.
 #[derive(Debug, Clone, Copy)]
 pub struct DiskCache<'a> {
     /// The cache directory (entries, `.tmp` staging files, and the

@@ -202,8 +202,8 @@ pub fn execute(
     }
     // An ordered set popped from the front is the lowest-index-first
     // ready queue the old BinaryHeap<Reverse<..>> implemented — and
-    // GT-LINT-011 keeps BinaryHeap out of everything but the routing
-    // reference solver.
+    // clippy's `disallowed_types` keeps BinaryHeap out of everything but
+    // the routing reference solver.
     let ready: BTreeSet<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
     let config_fp = config_fingerprint(config);
 
@@ -232,6 +232,8 @@ pub fn execute(
     });
     let cvar = Condvar::new();
     let workers = threads.min(n.max(1));
+    // The scheduler is the single concurrency point of the pipeline.
+    #[allow(clippy::disallowed_methods)]
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
@@ -598,6 +600,8 @@ where
     }
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
+    // The engine's chunk executor: the one other sanctioned worker pool.
+    #[allow(clippy::disallowed_methods)]
     std::thread::scope(|s| {
         for _ in 0..threads.min(n) {
             s.spawn(|| loop {

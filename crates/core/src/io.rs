@@ -373,6 +373,12 @@ mod tests {
         dir
     }
 
+    // Plants damaged bytes behind the Vfs seam's back.
+    #[allow(clippy::disallowed_methods)]
+    fn plant(path: &Path, bytes: impl AsRef<[u8]>) {
+        std::fs::write(path, bytes).unwrap();
+    }
+
     #[test]
     fn roundtrip() {
         let dir = fresh_dir("geotopo_io_test");
@@ -417,7 +423,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("old.json");
         // A PR-7-era cache entry: bare pretty JSON, no envelope.
-        std::fs::write(&path, serde_json::to_string_pretty(&sample()).unwrap()).unwrap();
+        plant(&path, serde_json::to_string_pretty(&sample()).unwrap());
         let CacheRead::Corrupt(reason) = load_dataset(&RealVfs, &path, STAGE, FP) else {
             panic!("raw JSON must be classified corrupt");
         };
@@ -431,7 +437,7 @@ mod tests {
         let path = dir.join("entry.json");
         save_envelope(&RealVfs, &path, STAGE, FP, b"0123456789abcdef").unwrap();
         let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() - 5]).unwrap();
+        plant(&path, &full[..full.len() - 5]);
         let CacheRead::Corrupt(reason) = load_envelope(&RealVfs, &path, STAGE, FP) else {
             panic!("truncated entry must be corrupt");
         };
@@ -447,7 +453,7 @@ mod tests {
         let mut full = std::fs::read(&path).unwrap();
         let last = full.len() - 3;
         full[last] ^= 0x01;
-        std::fs::write(&path, &full).unwrap();
+        plant(&path, &full);
         let CacheRead::Corrupt(reason) = load_envelope(&RealVfs, &path, STAGE, FP) else {
             panic!("bit-flipped entry must be corrupt");
         };
@@ -481,7 +487,7 @@ mod tests {
             "{{\"schema\":99,\"stage\":\"{STAGE}\",\"fingerprint\":\"{FP}\",\"payload_len\":1,\"checksum\":\"{}\"}}",
             content_checksum(payload)
         );
-        std::fs::write(&path, format!("GTENV1\n{header}\np")).unwrap();
+        plant(&path, format!("GTENV1\n{header}\np"));
         let CacheRead::Corrupt(reason) = load_envelope(&RealVfs, &path, STAGE, FP) else {
             panic!("future schema must be corrupt");
         };

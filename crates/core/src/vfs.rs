@@ -16,9 +16,10 @@
 //!   → rename) is composed from these primitives, so every cache entry
 //!   on disk is either the complete old version or the complete new one.
 //!
-//! GT-LINT-012 enforces the seam statically: no raw
-//! `std::fs::{write, File::create, rename}` outside `io.rs` and this
-//! module.
+//! Clippy's `disallowed_methods` enforces the seam statically: a raw
+//! `std::fs::{write, File::create, rename}` outside [`RealVfs`]'s
+//! primitives needs a visible `#[allow]` stating why it may bypass the
+//! seam.
 
 use std::io;
 use std::io::Write as _;
@@ -84,6 +85,8 @@ impl Vfs for RealVfs {
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        // RealVfs is the seam's production implementation.
+        #[allow(clippy::disallowed_methods)]
         let mut f = std::fs::File::create(path)?;
         f.write_all(bytes)?;
         // Durability point: the atomic-publish protocol renames this
@@ -92,6 +95,8 @@ impl Vfs for RealVfs {
         f.sync_all()
     }
 
+    // RealVfs is the seam's production implementation.
+    #[allow(clippy::disallowed_methods)]
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         std::fs::rename(from, to)
     }

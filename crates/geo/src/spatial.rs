@@ -249,14 +249,10 @@ impl SpatialIndex {
     }
 
     /// Indices of all points within `radius_miles` of `center`
-    /// (inclusive), excluding `exclude` if given.
-    pub fn within(&self, center: &GeoPoint, radius_miles: f64, exclude: Option<u32>) -> Vec<u32> {
+    /// (inclusive).
+    pub fn within(&self, center: &GeoPoint, radius_miles: f64) -> Vec<u32> {
         let mut out = Vec::new();
-        self.for_each_in_radius(center, radius_miles, |i| {
-            if Some(i) != exclude {
-                out.push(i);
-            }
-        });
+        self.for_each_in_radius(center, radius_miles, |i| out.push(i));
         out
     }
 
@@ -455,7 +451,7 @@ mod tests {
         let idx = SpatialIndex::new(pts.clone(), 1.0);
         let center = p(38.0, -100.0);
         for radius in [50.0, 200.0, 800.0] {
-            let mut got = idx.within(&center, radius, None);
+            let mut got = idx.within(&center, radius);
             got.sort_unstable();
             let mut want: Vec<u32> = pts
                 .iter()
@@ -466,15 +462,6 @@ mod tests {
             want.sort_unstable();
             assert_eq!(got, want, "radius {radius}");
         }
-    }
-
-    #[test]
-    fn exclude_is_honored() {
-        let pts = vec![p(10.0, 10.0), p(10.1, 10.1)];
-        let idx = SpatialIndex::new(pts, 1.0);
-        let center = p(10.0, 10.0);
-        let got = idx.within(&center, 100.0, Some(0));
-        assert_eq!(got, vec![1]);
     }
 
     #[test]
@@ -502,7 +489,7 @@ mod tests {
         assert!(idx.is_empty());
         assert_eq!(idx.nearest(&p(0.0, 0.0)), None);
         assert!(idx.nearest_k(&p(0.0, 0.0), 3).is_empty());
-        assert!(idx.within(&p(0.0, 0.0), 1000.0, None).is_empty());
+        assert!(idx.within(&p(0.0, 0.0), 1000.0).is_empty());
     }
 
     #[test]
@@ -510,7 +497,7 @@ mod tests {
         let idx = SpatialIndex::new(vec![p(10.0, 180.0)], 1.0);
         for lon in [179.5, -179.5, 180.0] {
             let center = p(10.0, lon);
-            assert_eq!(idx.within(&center, 50.0, None), vec![0], "lon {lon}");
+            assert_eq!(idx.within(&center, 50.0), vec![0], "lon {lon}");
             assert_eq!(idx.nearest(&center).map(|(i, _)| i), Some(0), "lon {lon}");
         }
     }
@@ -519,7 +506,7 @@ mod tests {
     fn date_line_neighbors_found() {
         let pts = vec![p(0.0, 179.9), p(0.0, -179.9)];
         let idx = SpatialIndex::new(pts, 1.0);
-        let got = idx.within(&p(0.0, 179.95), 50.0, None);
+        let got = idx.within(&p(0.0, 179.95), 50.0);
         assert_eq!(got.len(), 2, "date-line wrap missed: {got:?}");
     }
 

@@ -58,8 +58,8 @@ impl PolicyOracle {
         // An ordered set pops the lexicographic (dist, state) minimum
         // exactly like the old BinaryHeap<Reverse<..>> did; this module
         // is off the hot path, so the simpler structure wins over a
-        // second bucket queue (and GT-LINT-011 keeps BinaryHeap out of
-        // everything but the routing reference).
+        // second bucket queue (and clippy's `disallowed_types` keeps
+        // BinaryHeap out of everything but the routing reference).
         let mut frontier: BTreeSet<(u64, usize)> = BTreeSet::new();
         let start = source.0 as usize * 2 + UP;
         dist[start] = 0;

@@ -5,7 +5,11 @@
 //! the parent module: `measure/tests/properties.rs` asserts the two
 //! produce bit-identical `dist`/`parent` trees over random topologies.
 //! This module is the one sanctioned `BinaryHeap` user in the workspace
-//! (GT-LINT-011) — production paths must use the bucket queue.
+//! (clippy's `disallowed_types` bans it everywhere else) — production
+//! paths must use the bucket queue.
+
+// The differential-testing baseline keeps the textbook heap solver.
+#![allow(clippy::disallowed_types)]
 
 use super::{INTER_COST, INTRA_COST};
 use geotopo_topology::{RouterId, Topology};

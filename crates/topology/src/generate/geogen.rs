@@ -163,7 +163,7 @@ pub fn geogen(cfg: &GeoGenConfig) -> Result<GeoGenOutput, GenError> {
         let mut claimed = 0usize;
         let mut radius = 50.0;
         while claimed < size && radius < 25_000.0 {
-            let nearby = spatial.within(&locations[seed_r], radius, None);
+            let nearby = spatial.within(&locations[seed_r], radius);
             for i in nearby {
                 if claimed >= size {
                     break;

@@ -4,18 +4,15 @@
 //! whole [`WorkspaceSrc`] so crate-scoped and cross-crate rules use the
 //! same interface. IDs are stable (`GT-LINT-001`...) and documented in
 //! `DESIGN.md`; diagnostics print as `file:line: [ID] message` so editors
-//! and CI logs can jump to the site.
+//! and CI logs can jump to the site. Bans that clippy can enforce by
+//! resolved path live in `clippy.toml` instead; the IDs of the rules they
+//! replaced (007, 008, 010, 011, 012) are retired, not reused.
 
-pub mod binary_heap;
 pub mod float_eq;
-pub mod instant_timing;
 pub mod layering;
 pub mod missing_debug;
 pub mod nondeterminism;
-pub mod panic_markers;
-pub mod raw_fs;
 pub mod supervised_paths;
-pub mod thread_spawn;
 pub mod unwrap;
 pub mod wall_clock;
 
@@ -68,12 +65,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(float_eq::FloatEq),
         Box::new(missing_debug::MissingDebug),
         Box::new(layering::Layering),
-        Box::new(panic_markers::PanicMarkers),
-        Box::new(thread_spawn::ThreadSpawn),
         Box::new(supervised_paths::SupervisedPaths),
-        Box::new(instant_timing::InstantTiming),
-        Box::new(binary_heap::BinaryHeapUse),
-        Box::new(raw_fs::RawFs),
     ]
 }
 

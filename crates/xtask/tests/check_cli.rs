@@ -3,6 +3,7 @@
 //! non-zero exit, a `file:line: [RULE]` diagnostic for every rule in the
 //! catalog, and `--rule` filtering must isolate a single rule.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -13,16 +14,19 @@ const ALL_RULES: &[&str] = &[
     "GT-LINT-004",
     "GT-LINT-005",
     "GT-LINT-006",
-    "GT-LINT-007",
-    "GT-LINT-008",
     "GT-LINT-009",
-    "GT-LINT-010",
-    "GT-LINT-011",
-    "GT-LINT-012",
 ];
 
 fn fixture_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/violations")
+}
+
+fn repo_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(|p| p.parent())
+        .expect("workspace root")
+        .to_path_buf()
 }
 
 fn run_check(extra: &[&str]) -> (i32, String) {
@@ -85,26 +89,37 @@ fn unknown_rule_is_a_usage_error() {
 fn list_prints_catalog_and_exits_zero() {
     let (code, stdout) = run_check(&["--list"]);
     assert_eq!(code, 0);
-    for rule in ALL_RULES {
-        assert!(
-            stdout.contains(rule),
-            "{rule} missing from --list:\n{stdout}"
-        );
-    }
+    let listed: BTreeSet<&str> = stdout
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(
+        listed,
+        ALL_RULES.iter().copied().collect(),
+        "--list output:\n{stdout}"
+    );
+    // DESIGN.md's lint table documents exactly the rules `--list` prints,
+    // so a deleted rule cannot leave a stale row behind.
+    let design = std::fs::read_to_string(repo_root().join("DESIGN.md")).expect("read DESIGN.md");
+    let documented: BTreeSet<&str> = design
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `"))
+        .filter_map(|rest| rest.split('`').next())
+        .filter(|id| id.starts_with("GT-LINT-"))
+        .collect();
+    assert_eq!(
+        documented, listed,
+        "DESIGN.md's lint table disagrees with --list"
+    );
 }
 
 #[test]
 fn real_workspace_is_clean() {
     // The repo itself must pass its own lint pass (CI gates on this).
-    let repo_root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .expect("workspace root")
-        .to_path_buf();
     let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
         .arg("check")
         .arg("--root")
-        .arg(repo_root)
+        .arg(repo_root())
         .output()
         .expect("spawn xtask");
     let stdout = String::from_utf8_lossy(&out.stdout);

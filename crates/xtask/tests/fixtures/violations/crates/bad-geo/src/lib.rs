@@ -12,8 +12,8 @@ pub fn entropy() -> u64 {
     r.random()
 }
 
-pub fn clocked() -> std::time::Instant {
-    std::time::Instant::now()
+pub fn clocked() -> std::time::SystemTime {
+    std::time::SystemTime::now()
 }
 
 pub fn aborts(v: Option<u32>) -> u32 {
@@ -22,20 +22,4 @@ pub fn aborts(v: Option<u32>) -> u32 {
 
 pub fn exact(x: f64) -> bool {
     x == 0.5
-}
-
-pub fn unfinished() {
-    todo!("never")
-}
-
-pub fn sidecar_worker() {
-    std::thread::spawn(|| {});
-}
-
-pub fn heapy() -> std::collections::BinaryHeap<u32> {
-    std::collections::BinaryHeap::new()
-}
-
-pub fn tears(p: &std::path::Path) {
-    std::fs::write(p, b"raw, unfenced, invisible to chaos injection").unwrap();
 }

@@ -121,6 +121,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     eprintln!(
         "[geotopo] generating world and collecting datasets (scale = {scale}, seed = {seed}, faults = {fault_profile})..."
     );
+    // CLI progress timing, printed to stderr only.
+    #[allow(clippy::disallowed_methods)]
     let t0 = std::time::Instant::now();
     let mode = if validate {
         ValidationMode::Always
@@ -190,6 +192,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("{}", report::metrics_trace(&out.metrics).render());
     }
     if let Some(path) = metrics_out {
+        // A user-requested export, not pipeline state.
+        #[allow(clippy::disallowed_methods)]
         std::fs::write(&path, serde_json::to_string_pretty(&out.metrics)?)?;
         eprintln!("[geotopo] wrote metrics snapshot to {path}");
     }
@@ -209,6 +213,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect();
         let workers = geotopo::core::engine::resolve_threads(threads);
         let telemetry = geotopo::core::telemetry::Telemetry::new();
+        // CLI progress timing, printed to stderr only.
+        #[allow(clippy::disallowed_methods)]
         let tq = std::time::Instant::now();
         let answers = geotopo::core::query::bulk_lookup(&out.query, &hitlist, workers, &telemetry);
         let secs = tq.elapsed().as_secs_f64();
@@ -238,9 +244,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut md = String::from("# geotopo reproduction results\n\n");
         for r in &results {
             let path = format!("{dir}/{}.json", r.id);
+            // Result exports are terminal output, not pipeline state.
+            #[allow(clippy::disallowed_methods)]
             std::fs::write(&path, serde_json::to_string_pretty(&r.json)?)?;
             md.push_str(&format!("## {}\n\n```\n{}\n```\n\n", r.title, r.text));
         }
+        // Result exports are terminal output, not pipeline state.
+        #[allow(clippy::disallowed_methods)]
         let mut f = std::fs::File::create(format!("{dir}/results.md"))?;
         f.write_all(md.as_bytes())?;
 

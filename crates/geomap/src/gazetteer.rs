@@ -33,6 +33,9 @@ pub struct Gazetteer {
     cities: Vec<City>,
     by_code: HashMap<String, u32>,
     index: SpatialIndex,
+    /// The synthetic-code counter [`Gazetteer::extend_from_population`]
+    /// resumes from, so later calls skip the codes earlier calls took.
+    next_synthetic: u32,
 }
 
 macro_rules! city {
@@ -203,6 +206,7 @@ impl Gazetteer {
             cities: Vec::with_capacity(cities.len()),
             by_code: HashMap::new(),
             index: SpatialIndex::new(Vec::new(), 1.0),
+            next_synthetic: 0,
         };
         for c in cities {
             g.push(c);
@@ -229,9 +233,9 @@ impl Gazetteer {
 
     /// Densifies the gazetteer with synthetic towns: one per raster cell
     /// whose population is at least `min_cell_pop`, placed at the cell
-    /// centre. Synthetic codes are generated (`ZAAAA`, `ZAAAB`, ...) and
-    /// never collide with the curated core. Stops silently if the
-    /// 456,976-code synthetic space fills up.
+    /// centre. Synthetic codes are generated (`ZAAAA`, `ZAAAB`, ...),
+    /// consecutively across calls, and never collide with the curated
+    /// core. Stops silently if the 456,976-code synthetic space fills up.
     ///
     /// `min_cell_pop` is an absolute per-cell threshold: scale it with
     /// the raster's cell area (a 30-arcmin cell holds 4× the people of a
@@ -239,7 +243,7 @@ impl Gazetteer {
     pub fn extend_from_population(&mut self, grid: &PopulationGrid, min_cell_pop: f64) -> usize {
         const CAPACITY: u32 = 26 * 26 * 26 * 26;
         let mut added = 0usize;
-        let mut counter = 0u32;
+        let mut counter = self.next_synthetic;
         'cells: for cell in grid.grid().cells() {
             let pop = grid.cells()[grid.grid().flat_index(cell)];
             if pop < min_cell_pop {
@@ -274,6 +278,7 @@ impl Gazetteer {
                 }
             }
         }
+        self.next_synthetic = counter;
         self.reindex();
         added
     }
@@ -401,6 +406,28 @@ mod tests {
         let d2 = geotopo_geo::haversine_miles(&second.location, &p);
         assert!(d1 <= d2);
         assert!(g.kth_nearest(&p, 10_000).is_none());
+    }
+
+    #[test]
+    fn synthetic_codes_run_on_across_calls() {
+        use geotopo_geo::RegionSet;
+        use geotopo_population::SyntheticPopulation;
+        let mut g = Gazetteer::builtin();
+        let core = g.len();
+        for (region, seed) in [(RegionSet::japan(), 1), (RegionSet::europe(), 2)] {
+            let grid = SyntheticPopulation::developed(region, 50e6)
+                .generate(seed)
+                .unwrap();
+            assert!(g.extend_from_population(&grid, 8_000.0) > 0);
+        }
+        // Both regions' towns take codes ZAAAA, ZAAAB, ... with no gap.
+        for (i, c) in g.cities()[core..].iter().enumerate() {
+            let digit = |place: usize| (b'A' + (i / place % 26) as u8) as char;
+            let want = format!("Z{}{}{}{}", digit(17_576), digit(676), digit(26), digit(1));
+            assert_eq!(c.code, want);
+        }
+        // The second call resumed the counter: no code was tried twice.
+        assert_eq!(g.next_synthetic as usize, g.len() - core);
     }
 
     #[test]

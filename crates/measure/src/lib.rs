@@ -27,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod campaign;
 pub mod dataset;
 pub mod faults;
 pub mod mercator;

@@ -15,7 +15,7 @@ use rand::Rng;
 
 /// A traced hop: the responding router and the interface it reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// analyze: allow(dead-pub): hop record returned by every trace API; fields read without naming the type
+// analyze: allow(dead-pub): hop record returned by the trace kernel; fields read without naming the type
 pub struct Hop {
     /// The router at this hop.
     pub router: RouterId,
@@ -68,67 +68,21 @@ impl<'a> TracerouteSim<'a> {
     }
 
     /// Traces from the oracle's source to `dst`, returning the hop list
-    /// *after* the source (the source itself emits, it does not report).
-    /// Returns `None` if the destination is unreachable.
-    pub fn trace(&self, oracle: &RoutingOracle, dst: RouterId) -> Option<Vec<Hop>> {
-        let mut buf = TraceBuf::new();
-        self.trace_into(oracle, dst, &mut buf).map(<[Hop]>::to_vec)
-    }
-
-    /// Allocation-free [`trace`](Self::trace): walks the route into
-    /// `buf`'s reusable vectors and returns a borrowed hop slice.
-    // analyze: hot-path-root
-    pub fn trace_into<'b>(
-        &self,
-        oracle: &RoutingOracle,
-        dst: RouterId,
-        buf: &'b mut TraceBuf,
-    ) -> Option<&'b [Hop]> {
-        let TraceBuf { path, hops } = buf;
-        if !oracle.path_into(dst, path) {
-            return None;
-        }
-        hops.clear();
-        for w in path.windows(2) {
-            let (prev, cur) = (w[0], w[1]);
-            let interface = if self.responsive[cur.0 as usize] {
-                // The ICMP source address is the interface the probe
-                // arrived on: the one facing `prev`.
-                self.topology.interface_between(cur, prev)
-            } else {
-                None
-            };
-            hops.push(Hop {
-                router: cur,
-                interface,
-            });
-        }
-        Some(hops)
-    }
-
-    /// Like [`trace`](Self::trace), but every probe runs through the
-    /// fault `session` in virtual time, with bounded retry-with-backoff
-    /// when a probe is swallowed by loss, rate-limiting, or a flap.
+    /// *after* the source (the source itself emits, it does not report),
+    /// or `None` if the destination is unreachable. The route walk and
+    /// the hop list reuse `buf`'s vectors and the result borrows from
+    /// them, so the hot loop performs no per-trace allocation.
+    ///
+    /// Every probe runs through the fault `session` in virtual time,
+    /// with bounded retry-with-backoff when a probe is swallowed by
+    /// loss, rate-limiting, or a flap. Under an inert session every
+    /// probe is answered first time, and each hop reports the interface
+    /// facing the previous router iff its router is responsive.
     ///
     /// Routers that are silent by disposition (the per-router coin) stay
     /// silent — retransmitting cannot help, and a real prober cannot tell
     /// the difference anyway, so the channel fate is decided first and
     /// the responsiveness coin only gates what an answered probe reports.
-    /// Under an inert session this reproduces `trace` byte-for-byte.
-    pub fn trace_with_faults(
-        &self,
-        oracle: &RoutingOracle,
-        dst: RouterId,
-        session: &mut FaultSession<'_>,
-    ) -> Option<Vec<Hop>> {
-        let mut buf = TraceBuf::new();
-        self.trace_with_faults_into(oracle, dst, session, &mut buf)
-            .map(<[Hop]>::to_vec)
-    }
-
-    /// Allocation-free [`trace_with_faults`](Self::trace_with_faults):
-    /// same fault semantics, but the route walk and hop list reuse
-    /// `buf`'s vectors and the result borrows from them.
     // analyze: hot-path-root
     pub fn trace_with_faults_into<'b>(
         &self,
@@ -152,6 +106,8 @@ impl<'a> TracerouteSim<'a> {
                 match fate {
                     ProbeFate::Answered => {
                         if self.responsive[cur.0 as usize] {
+                            // The ICMP source address is the interface the
+                            // probe arrived on: the one facing `prev`.
                             interface = self.topology.interface_between(cur, prev);
                             if attempt > 0 {
                                 session.stats.retry_successes += 1;
@@ -190,48 +146,9 @@ impl<'a> TracerouteSim<'a> {
 }
 
 #[cfg(test)]
-mod trace_buf_tests {
-    use super::*;
-    use geotopo_bgp::AsId;
-    use geotopo_geo::GeoPoint;
-    use geotopo_topology::TopologyBuilder;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn trace_into_reuses_buffers_and_matches_trace() {
-        let mut b = TopologyBuilder::new();
-        let r: Vec<_> = (0..6)
-            .map(|i| b.add_router(GeoPoint::new(10.0 + i as f64 * 0.1, 10.0).unwrap(), AsId(1)))
-            .collect();
-        for w in r.windows(2) {
-            b.add_link_auto(w[0], w[1]).unwrap();
-        }
-        let t = b.build();
-        let mut rng = StdRng::seed_from_u64(11);
-        let sim = TracerouteSim::new(&t, 0.7, &mut rng);
-        let oracle = RoutingOracle::new(&t, r[0]);
-        let mut buf = TraceBuf::new();
-        for &dst in &r[1..] {
-            let owned = sim.trace(&oracle, dst).unwrap();
-            let borrowed = sim.trace_into(&oracle, dst, &mut buf).unwrap();
-            assert_eq!(owned.as_slice(), borrowed);
-            // A hop reports an interface iff its router answers probes.
-            for h in &owned {
-                assert_eq!(h.interface.is_some(), sim.is_responsive(h.router));
-            }
-        }
-        // After the longest trace the buffers never shrink: a short
-        // trace must reuse the capacity, not reallocate.
-        let cap = (buf.path.capacity(), buf.hops.capacity());
-        assert!(sim.trace_into(&oracle, r[1], &mut buf).is_some());
-        assert_eq!((buf.path.capacity(), buf.hops.capacity()), cap);
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{FaultConfig, FaultPlan};
     use geotopo_bgp::AsId;
     use geotopo_geo::GeoPoint;
     use geotopo_topology::TopologyBuilder;
@@ -249,13 +166,54 @@ mod tests {
         (b.build(), r)
     }
 
+    fn inert_plan(t: &Topology) -> FaultPlan {
+        FaultPlan::compile(&FaultConfig::none(), t.num_routers(), 1, 100)
+    }
+
+    /// One trace under an inert session, into fresh buffers.
+    fn trace(sim: &TracerouteSim<'_>, oracle: &RoutingOracle, dst: RouterId) -> Option<Vec<Hop>> {
+        let plan = inert_plan(sim.topology);
+        let mut session = FaultSession::new(&plan);
+        sim.trace_with_faults_into(oracle, dst, &mut session, &mut TraceBuf::new())
+            .map(<[Hop]>::to_vec)
+    }
+
+    #[test]
+    fn reused_buffers_match_fresh_ones() {
+        let (t, r) = line_topology(6);
+        let mut rng = StdRng::seed_from_u64(11);
+        let sim = TracerouteSim::new(&t, 0.7, &mut rng);
+        let oracle = RoutingOracle::new(&t, r[0]);
+        let plan = inert_plan(&t);
+        let mut session = FaultSession::new(&plan);
+        let mut buf = TraceBuf::new();
+        for &dst in &r[1..] {
+            let owned = trace(&sim, &oracle, dst).unwrap();
+            let borrowed = sim
+                .trace_with_faults_into(&oracle, dst, &mut session, &mut buf)
+                .unwrap();
+            assert_eq!(owned.as_slice(), borrowed);
+            // A hop reports an interface iff its router answers probes.
+            for h in &owned {
+                assert_eq!(h.interface.is_some(), sim.is_responsive(h.router));
+            }
+        }
+        // After the longest trace the buffers never shrink: a short
+        // trace must reuse the capacity, not reallocate.
+        let cap = (buf.path.capacity(), buf.hops.capacity());
+        assert!(sim
+            .trace_with_faults_into(&oracle, r[1], &mut session, &mut buf)
+            .is_some());
+        assert_eq!((buf.path.capacity(), buf.hops.capacity()), cap);
+    }
+
     #[test]
     fn trace_reports_incoming_interfaces() {
         let (t, r) = line_topology(4);
         let mut rng = StdRng::seed_from_u64(1);
         let sim = TracerouteSim::new(&t, 1.0, &mut rng);
         let oracle = RoutingOracle::new(&t, r[0]);
-        let hops = sim.trace(&oracle, r[3]).unwrap();
+        let hops = trace(&sim, &oracle, r[3]).unwrap();
         assert_eq!(hops.len(), 3);
         for (i, hop) in hops.iter().enumerate() {
             assert_eq!(hop.router, r[i + 1]);
@@ -273,7 +231,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let sim = TracerouteSim::new(&t, 0.0, &mut rng);
         let oracle = RoutingOracle::new(&t, r[0]);
-        let hops = sim.trace(&oracle, r[4]).unwrap();
+        let hops = trace(&sim, &oracle, r[4]).unwrap();
         assert_eq!(hops.len(), 4);
         assert!(hops.iter().all(|h| h.interface.is_none()));
     }
@@ -287,7 +245,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let sim = TracerouteSim::new(&t, 1.0, &mut rng);
         let oracle = RoutingOracle::new(&t, a);
-        assert!(sim.trace(&oracle, z).is_none());
+        assert!(trace(&sim, &oracle, z).is_none());
     }
 
     #[test]
@@ -296,31 +254,44 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let sim = TracerouteSim::new(&t, 0.5, &mut rng);
         let oracle = RoutingOracle::new(&t, r[0]);
-        let h1 = sim.trace(&oracle, r[9]).unwrap();
-        let h2 = sim.trace(&oracle, r[9]).unwrap();
+        let h1 = trace(&sim, &oracle, r[9]).unwrap();
+        let h2 = trace(&sim, &oracle, r[9]).unwrap();
         assert_eq!(h1, h2);
     }
 
     #[test]
     fn inert_faults_reproduce_plain_trace() {
-        use crate::faults::{FaultConfig, FaultPlan};
         let (t, r) = line_topology(8);
         let mut rng = StdRng::seed_from_u64(6);
         let sim = TracerouteSim::new(&t, 0.6, &mut rng);
         let oracle = RoutingOracle::new(&t, r[0]);
-        let plan = FaultPlan::compile(&FaultConfig::none(), t.num_routers(), 1, 100);
+        let plan = inert_plan(&t);
         let mut session = FaultSession::new(&plan);
-        for dst in &r[1..] {
-            let plain = sim.trace(&oracle, *dst);
-            let faulty = sim.trace_with_faults(&oracle, *dst, &mut session);
-            assert_eq!(plain, faulty);
+        let mut buf = TraceBuf::new();
+        for &dst in &r[1..] {
+            // The fault-free traceroute, spelled out: each hop after the
+            // source reports the interface facing its predecessor iff
+            // the router is responsive.
+            let path = oracle.path(dst).unwrap();
+            let plain: Vec<Hop> = path
+                .windows(2)
+                .map(|w| Hop {
+                    router: w[1],
+                    interface: if sim.is_responsive(w[1]) {
+                        t.interface_between(w[1], w[0])
+                    } else {
+                        None
+                    },
+                })
+                .collect();
+            let faulty = sim.trace_with_faults_into(&oracle, dst, &mut session, &mut buf);
+            assert_eq!(Some(plain.as_slice()), faulty);
         }
         assert!(session.stats.is_zero());
     }
 
     #[test]
     fn retries_recover_lost_answers() {
-        use crate::faults::{FaultConfig, FaultPlan};
         let (t, r) = line_topology(6);
         let mut rng = StdRng::seed_from_u64(7);
         let sim = TracerouteSim::new(&t, 1.0, &mut rng);
@@ -331,10 +302,13 @@ mod tests {
         cfg.seed = 17;
         let plan = FaultPlan::compile(&cfg, t.num_routers(), 1, 10_000);
         let mut session = FaultSession::new(&plan);
+        let mut buf = TraceBuf::new();
         let mut answered = 0usize;
         let mut total = 0usize;
         for _ in 0..200 {
-            let hops = sim.trace_with_faults(&oracle, r[5], &mut session).unwrap();
+            let hops = sim
+                .trace_with_faults_into(&oracle, r[5], &mut session, &mut buf)
+                .unwrap();
             total += hops.len();
             answered += hops.iter().filter(|h| h.interface.is_some()).count();
         }
@@ -354,6 +328,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let sim = TracerouteSim::new(&t, 1.0, &mut rng);
         let oracle = RoutingOracle::new(&t, r[0]);
-        assert_eq!(sim.trace(&oracle, r[0]).unwrap().len(), 0);
+        assert_eq!(trace(&sim, &oracle, r[0]).unwrap().len(), 0);
     }
 }

@@ -14,12 +14,12 @@
 //!   further discarded all interfaces appearing in the destination lists";
 //! - self-loops and duplicate observations are discarded as anomalies.
 
+use crate::campaign::sample_destinations;
 use crate::dataset::{MeasuredDataset, MonitorRecord, NodeKind};
 use crate::faults::{FaultConfig, FaultPlan, FaultSession, FaultStats};
 use crate::probe::{TraceBuf, TracerouteSim};
 use crate::routing::{RoutingOracle, RoutingScratch, RoutingStats};
-use geotopo_bgp::trie::PrefixTrie;
-use geotopo_stats::{ChunkExec, SerialExec};
+use geotopo_stats::ChunkExec;
 use geotopo_topology::generate::GroundTruth;
 use geotopo_topology::{InterfaceId, RouterId};
 use rand::rngs::StdRng;
@@ -140,25 +140,8 @@ struct TraceChunk {
 pub struct Skitter;
 
 impl Skitter {
-    /// Runs a fault-free collection over the ground-truth world.
-    pub fn collect(gt: &GroundTruth, cfg: &SkitterConfig) -> SkitterOutput {
-        Self::collect_with_faults(gt, cfg, &FaultConfig::none())
-    }
-
-    /// Runs a collection under an injected fault plan, executing every
-    /// trace chunk serially. With an inert plan this is byte-identical
-    /// to [`collect`](Self::collect): fault decisions are hash-derived
-    /// in virtual probe-tick time and never touch the collection RNG
-    /// stream.
-    pub fn collect_with_faults(
-        gt: &GroundTruth,
-        cfg: &SkitterConfig,
-        faults: &FaultConfig,
-    ) -> SkitterOutput {
-        Self::collect_with_faults_exec(gt, cfg, faults, &SerialExec)
-    }
-
-    /// Runs a collection with its interior jobs dispatched through
+    /// Runs a collection under an injected fault plan (inert:
+    /// [`FaultConfig::none`]) with its interior jobs dispatched through
     /// `exec` — the engine passes its deterministic scoped-thread
     /// scheduler here. Parallelism is two-layered: one routing oracle
     /// per monitor, then one trace job per (monitor, [`DEST_CHUNK`]
@@ -176,34 +159,9 @@ impl Skitter {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let t = &gt.topology;
 
-        // Ground-truth address ownership (who a destination belongs to).
-        let mut truth = PrefixTrie::new();
-        for alloc in &gt.allocations {
-            for &p in &alloc.prefixes {
-                truth.insert(p, alloc.asn);
-            }
-        }
-
         // Destination list: end-host addresses spread over the allocated
-        // space ("the destination lists are created with the aim to cover
-        // all blocks of 256 addresses ... destinations selected by several
-        // methods").
-        let alloc_weights: Vec<f64> = gt.allocations.iter().map(|a| a.capacity() as f64).collect();
-        let alloc_pick =
-            geotopo_stats::AliasTable::new(&alloc_weights).expect("non-empty allocations"); // lint: allow(unwrap): generated worlds always allocate prefixes
-        let mut destinations: Vec<Ipv4Addr> = Vec::with_capacity(cfg.destinations);
-        let mut dest_set: HashSet<Ipv4Addr> = HashSet::new();
-        let mut guard = 0usize;
-        while destinations.len() < cfg.destinations && guard < cfg.destinations * 10 {
-            guard += 1;
-            let alloc = &gt.allocations[alloc_pick.sample(&mut rng)];
-            let prefix = alloc.prefixes[rng.random_range(0..alloc.prefixes.len())];
-            let off = rng.random_range(0..prefix.size());
-            let Some(ip) = prefix.nth(off) else { continue };
-            if dest_set.insert(ip) {
-                destinations.push(ip);
-            }
-        }
+        // space, each with the access router serving it.
+        let (destinations, attach) = sample_destinations(gt, cfg.destinations, &mut rng, exec);
 
         // Monitors: distinct routers, preferring distinct regions first.
         let monitors = pick_monitors(gt, cfg.n_monitors, &mut rng);
@@ -228,32 +186,6 @@ impl Skitter {
         // its hash-derived fate stream depends only on its own probes.
         let slice_len = (expected_probes / monitors.len().max(1) as u64).max(1);
 
-        // Attachment routers resolved once per destination (the old
-        // per-monitor loop re-resolved each destination from the trie
-        // for every monitor covering it): a deterministic member of the
-        // destination's AS (the access router serving it). Per-AS
-        // membership comes straight off the topology's packed AS ranges
-        // (ascending router ids). Pure function of the world, so the
-        // chunked fan-out is trivially byte-identical.
-        let n_dest_chunks = destinations.len().div_ceil(DEST_CHUNK).max(1);
-        let attach: Vec<Option<RouterId>> = exec
-            .dispatch(n_dest_chunks, &|c| {
-                let lo = c * DEST_CHUNK;
-                let hi = ((c + 1) * DEST_CHUNK).min(destinations.len());
-                destinations[lo..hi]
-                    .iter()
-                    .map(|&dst_ip| {
-                        let (asn, _) = truth.lookup(dst_ip)?;
-                        let members = t.routers_of_as(*asn);
-                        if members.is_empty() {
-                            return None;
-                        }
-                        Some(members[(u32::from(dst_ip) as usize) % members.len()])
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .concat();
-
         // Phase 1: one policy-aware shortest-path oracle per monitor.
         // Oracles are immutable after the solve and shared by reference
         // into every trace chunk of their monitor.
@@ -275,6 +207,7 @@ impl Skitter {
         // fault session at a fixed tick — monitor slice base plus a
         // per-chunk stride — so its hash-derived fate stream depends
         // only on its own coordinates, never on scheduling.
+        let n_dest_chunks = destinations.len().div_ceil(DEST_CHUNK).max(1);
         let chunk_ticks = (slice_len / n_dest_chunks as u64).max(1);
         let n_jobs = monitors.len() * n_dest_chunks;
         let trace_job = |j: usize| -> TraceChunk {
@@ -426,12 +359,10 @@ impl Skitter {
 
         // Discard destination-list interfaces (end hosts).
         let raw_nodes = dataset.num_nodes();
-        let mut remove: HashSet<u32> = HashSet::new();
-        for ip in &dest_set {
-            if let Some(n) = dataset.node_by_ip(*ip) {
-                remove.insert(n);
-            }
-        }
+        let remove: HashSet<u32> = destinations
+            .iter()
+            .filter_map(|&ip| dataset.node_by_ip(ip))
+            .collect();
         let discarded_destinations = remove.len();
         dataset.remove_nodes(&remove);
 
@@ -476,10 +407,15 @@ fn pick_monitors(gt: &GroundTruth, n: usize, rng: &mut StdRng) -> Vec<RouterId> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geotopo_stats::SerialExec;
     use geotopo_topology::generate::GroundTruthConfig;
 
     fn world() -> GroundTruth {
         GroundTruth::generate(GroundTruthConfig::tiny(77)).unwrap()
+    }
+
+    fn collect(gt: &GroundTruth, cfg: &SkitterConfig, faults: &FaultConfig) -> SkitterOutput {
+        Skitter::collect_with_faults_exec(gt, cfg, faults, &SerialExec)
     }
 
     #[test]
@@ -492,7 +428,7 @@ mod tests {
             response_prob: 0.97,
             seed: 1,
         };
-        let out = Skitter::collect(&gt, &cfg);
+        let out = collect(&gt, &cfg, &FaultConfig::none());
         assert_eq!(out.dataset.kind, NodeKind::Interface);
         assert!(
             out.dataset.num_nodes() > 100,
@@ -517,7 +453,7 @@ mod tests {
             response_prob: 1.0,
             seed: 2,
         };
-        let out = Skitter::collect(&gt, &cfg);
+        let out = collect(&gt, &cfg, &FaultConfig::none());
         assert!(out.discarded_destinations > 0);
         assert_eq!(
             out.dataset.num_nodes(),
@@ -538,7 +474,7 @@ mod tests {
             response_prob: 1.0,
             seed: 3,
         };
-        let out = Skitter::collect(&gt, &cfg);
+        let out = collect(&gt, &cfg, &FaultConfig::none());
         for node in out.dataset.nodes() {
             assert!(
                 gt.topology.interface_by_ip(node.ip).is_some(),
@@ -558,10 +494,10 @@ mod tests {
             response_prob: 1.0,
             seed: 4,
         };
-        let few = Skitter::collect(&gt, &base);
+        let few = collect(&gt, &base, &FaultConfig::none());
         let mut more_cfg = base.clone();
         more_cfg.n_monitors = 7;
-        let more = Skitter::collect(&gt, &more_cfg);
+        let more = collect(&gt, &more_cfg, &FaultConfig::none());
         assert!(more.dataset.num_links() > few.dataset.num_links());
     }
 
@@ -575,14 +511,14 @@ mod tests {
             response_prob: 0.95,
             seed: 5,
         };
-        let a = Skitter::collect(&gt, &cfg);
-        let b = Skitter::collect(&gt, &cfg);
+        let a = collect(&gt, &cfg, &FaultConfig::none());
+        let b = collect(&gt, &cfg, &FaultConfig::none());
         assert_eq!(a.dataset.num_nodes(), b.dataset.num_nodes());
         assert_eq!(a.dataset.num_links(), b.dataset.num_links());
     }
 
     #[test]
-    fn inert_fault_plan_is_byte_identical_to_plain_collect() {
+    fn inert_fault_plan_records_no_faults() {
         let gt = world();
         let cfg = SkitterConfig {
             n_monitors: 4,
@@ -591,14 +527,9 @@ mod tests {
             response_prob: 0.95,
             seed: 6,
         };
-        let plain = Skitter::collect(&gt, &cfg);
-        let inert = Skitter::collect_with_faults(&gt, &cfg, &FaultConfig::none());
-        assert_eq!(
-            serde_json::to_string(&plain.dataset).unwrap(),
-            serde_json::to_string(&inert.dataset).unwrap()
-        );
-        assert!(plain.dataset.anomalies.faults.is_zero());
-        assert_eq!(plain.failed_monitors, 0);
+        let inert = collect(&gt, &cfg, &FaultConfig::none());
+        assert!(inert.dataset.anomalies.faults.is_zero());
+        assert_eq!(inert.failed_monitors, 0);
     }
 
     #[test]
@@ -611,7 +542,7 @@ mod tests {
             response_prob: 0.97,
             seed: 7,
         };
-        let out = Skitter::collect_with_faults(&gt, &cfg, &FaultConfig::at_severity(0.6, 21));
+        let out = collect(&gt, &cfg, &FaultConfig::at_severity(0.6, 21));
         let f = &out.dataset.anomalies.faults;
         assert!(f.probes_lost > 0, "packet loss never fired");
         assert!(f.retries > 0, "no retries issued");
@@ -620,7 +551,7 @@ mod tests {
         // Pathologies distort the dataset (loss thins it, churn adds
         // same-router artifacts) but never corrupt it.
         assert!(out.dataset.validate_against(&gt.topology).is_ok());
-        let clean = Skitter::collect(&gt, &cfg);
+        let clean = collect(&gt, &cfg, &FaultConfig::none());
         assert_ne!(
             serde_json::to_string(&out.dataset).unwrap(),
             serde_json::to_string(&clean.dataset).unwrap(),
@@ -653,7 +584,7 @@ mod tests {
             }
         }
         for faults in [FaultConfig::none(), FaultConfig::at_severity(0.6, 9)] {
-            let serial = Skitter::collect_with_faults(&gt, &cfg, &faults);
+            let serial = collect(&gt, &cfg, &faults);
             let shuffled = Skitter::collect_with_faults_exec(&gt, &cfg, &faults, &ReversedExec);
             assert_eq!(
                 serde_json::to_string(&serial).unwrap(),
@@ -675,11 +606,11 @@ mod tests {
         let mut faults = FaultConfig::none();
         faults.outage_fraction = 1.0;
         faults.seed = 5;
-        let a = Skitter::collect_with_faults(&gt, &cfg, &faults);
+        let a = collect(&gt, &cfg, &faults);
         assert!(a.failed_monitors > 0, "no monitor failed under outage 1.0");
         assert!(a.dataset.anomalies.faults.outage_skips > 0);
         assert!(a.active_monitors() < a.monitors.len());
-        let b = Skitter::collect_with_faults(&gt, &cfg, &faults);
+        let b = collect(&gt, &cfg, &faults);
         assert_eq!(a.failed_monitors, b.failed_monitors);
         assert_eq!(
             serde_json::to_string(&a.dataset).unwrap(),

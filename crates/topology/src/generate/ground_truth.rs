@@ -179,7 +179,7 @@ impl GroundTruthConfig {
     /// Synthesizes region `i`'s population raster. Grids seed their own
     /// RNGs (`seed + 1000 + i`), so they can be built independently —
     /// and concurrently — of world generation, then passed to
-    /// [`GroundTruth::generate_with_grids`].
+    /// [`GroundTruth::generate_with_grids_exec`].
     ///
     /// # Errors
     ///
@@ -255,75 +255,35 @@ pub struct GroundTruth {
 }
 
 impl GroundTruth {
-    /// Generates the world. Deterministic in `config.seed`.
+    /// Generates the world serially, building each region's population
+    /// grid on the way. Deterministic in `config.seed`; the same world as
+    /// [`GroundTruth::generate_with_grids_exec`] over the grids of
+    /// [`GroundTruthConfig::population_grid`].
     ///
     /// # Errors
     ///
     /// Fails on out-of-range configuration or (at absurd scales)
     /// address-space exhaustion.
     pub fn generate(config: GroundTruthConfig) -> Result<Self, GroundTruthError> {
-        Self::generate_exec(config, &SerialExec)
-    }
-
-    /// [`GroundTruth::generate`] with an explicit chunk executor for the
-    /// interior fan-out. Byte-identical to the serial path at any
-    /// parallelism: each region's raster seeds its own RNG and consumes
-    /// none of the world RNG stream, and chunk results merge in index
-    /// order.
-    ///
-    /// Each region job reduces its raster to the (small) point sampler
-    /// and drops it before returning, so peak memory holds at most one
-    /// raster per in-flight chunk — the serial streaming path's
-    /// bounded-RSS property, relaxed only by the executor's width.
-    ///
-    /// # Errors
-    ///
-    /// As [`GroundTruth::generate`].
-    // analyze: allow(dead-pub): exec-seam twin of `generate` for callers
-    // without pre-built grids; the engine path enters via
-    // `generate_with_grids_exec` instead
-    pub fn generate_exec(
-        config: GroundTruthConfig,
-        exec: &impl ChunkExec,
-    ) -> Result<Self, GroundTruthError> {
-        validate(&config)?;
-        // 1. Population grids per region, one independent chunk job per
-        // region, merged in region-index order.
-        let samplers: Vec<PointSampler> = exec
-            .dispatch(config.regions.len(), &|i| {
-                let grid = config.population_grid(i)?;
-                grid.point_sampler(config.regions[i].alpha)
-                    .map_err(|e| GroundTruthError::Population(e.to_string()))
-            })
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-        Self::generate_with_samplers(config, samplers, exec)
+        let grids = (0..config.regions.len())
+            .map(|i| config.population_grid(i))
+            .collect::<Result<Vec<_>, _>>()?;
+        let refs: Vec<&PopulationGrid> = grids.iter().collect();
+        Self::generate_with_grids_exec(config, &refs, &SerialExec)
     }
 
     /// Generates the world from pre-built per-region population grids
     /// (one per `config.regions` entry, in order — exactly the grids
-    /// [`GroundTruthConfig::population_grid`] produces). Byte-identical
-    /// to [`GroundTruth::generate`].
+    /// [`GroundTruthConfig::population_grid`] produces), with per-region
+    /// sampler construction and the chunkable interiors dispatched
+    /// through `exec` and merged in index order. Byte-identical at any
+    /// parallelism: each region's raster seeds its own RNG and consumes
+    /// none of the world RNG stream.
     ///
     /// # Errors
     ///
     /// As [`GroundTruth::generate`], plus a `BadConfig` error when the
     /// grid count does not match the region count.
-    pub fn generate_with_grids(
-        config: GroundTruthConfig,
-        grids: &[&PopulationGrid],
-    ) -> Result<Self, GroundTruthError> {
-        Self::generate_with_grids_exec(config, grids, &SerialExec)
-    }
-
-    /// [`GroundTruth::generate_with_grids`] with an explicit chunk
-    /// executor: per-region sampler construction becomes independent
-    /// chunk jobs merged in region-index order. Byte-identical to the
-    /// serial path at any parallelism.
-    ///
-    /// # Errors
-    ///
-    /// As [`GroundTruth::generate_with_grids`].
     pub fn generate_with_grids_exec(
         config: GroundTruthConfig,
         grids: &[&PopulationGrid],
@@ -333,6 +293,10 @@ impl GroundTruth {
         if grids.len() != config.regions.len() {
             return Err(GroundTruthError::BadConfig("population grid count"));
         }
+        // 1. One point sampler per region raster, one chunk job each.
+        // Everything downstream sees the rasters only through these. The
+        // executor fans out the chunkable interiors (RNG-free tallies);
+        // everything threaded through the single world RNG stays serial.
         let samplers: Vec<PointSampler> = exec
             .dispatch(grids.len(), &|i| {
                 grids[i]
@@ -341,18 +305,6 @@ impl GroundTruth {
             })
             .into_iter()
             .collect::<Result<_, _>>()?;
-        Self::generate_with_samplers(config, samplers, exec)
-    }
-
-    /// The generation core: everything downstream of the population
-    /// rasters, which enter only through their point samplers. The
-    /// executor fans out the chunkable interiors (RNG-free tallies);
-    /// everything threaded through the single world RNG stays serial.
-    fn generate_with_samplers(
-        config: GroundTruthConfig,
-        samplers: Vec<PointSampler>,
-        exec: &impl ChunkExec,
-    ) -> Result<Self, GroundTruthError> {
         let mut rng = StdRng::seed_from_u64(config.seed);
 
         // 2. Router budgets ∝ online users.
@@ -892,21 +844,6 @@ mod tests {
             GroundTruth::generate(c),
             Err(GroundTruthError::AddressSpace)
         ));
-    }
-
-    #[test]
-    fn streamed_and_batch_grid_paths_agree() {
-        // generate() streams each raster into its sampler; the engine
-        // path pre-builds all grids. Both must produce the same world.
-        let config = GroundTruthConfig::tiny(11);
-        let a = GroundTruth::generate(config.clone()).unwrap();
-        let grids: Vec<PopulationGrid> = (0..config.regions.len())
-            .map(|i| config.population_grid(i).unwrap())
-            .collect();
-        let refs: Vec<&PopulationGrid> = grids.iter().collect();
-        let b = GroundTruth::generate_with_grids(config, &refs).unwrap();
-        assert_eq!(format!("{:?}", a.topology), format!("{:?}", b.topology));
-        assert_eq!(a.router_region, b.router_region);
     }
 
     #[test]

@@ -259,7 +259,7 @@ mod tests {
             "geotopo-measure",
             &[(
                 "crates/measure/src/lib.rs",
-                "// analyze: hot-path-root\nfn trace_into(out: &mut Vec<u32>) {\n    out.push(1);\n    let mut tmp = Vec::new();\n    tmp.push(2);\n}\n",
+                "// analyze: hot-path-root\nfn walk_into(out: &mut Vec<u32>) {\n    out.push(1);\n    let mut tmp = Vec::new();\n    tmp.push(2);\n}\n",
             )],
         );
         let model = Model::build(&ws);

@@ -39,7 +39,7 @@ pub enum CallKind {
 /// One extracted call site inside a function body.
 #[derive(Debug, Clone)]
 pub struct CallSite {
-    /// Called name (`unwrap`, `new`, `trace_into`, ...).
+    /// Called name (`unwrap`, `new`, `path_into`, ...).
     pub name: String,
     /// Shape of the call.
     pub kind: CallKind,

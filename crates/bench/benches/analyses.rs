@@ -73,9 +73,10 @@ fn bench_as_measures(c: &mut Criterion) {
     });
 }
 
-/// The pairs-estimator ablation: exact O(n²) vs grid convolution on the
-/// same dataset (the accuracy side is asserted in tests; this measures
-/// the speed tradeoff).
+/// The pairs-estimator ablation: the exact denominator (quadratic in
+/// distinct in-region locations) vs grid convolution on the same dataset
+/// (the accuracy side is asserted in tests; this measures the speed
+/// tradeoff).
 fn bench_pairs_estimator(c: &mut Criterion) {
     let out = tiny_output();
     let ds = &out

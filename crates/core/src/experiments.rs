@@ -30,13 +30,15 @@ pub struct ExperimentResult {
     pub json: serde_json::Value,
 }
 
-/// One experiment job: a pure function of the pipeline output.
-type ExperimentJob = Box<dyn Fn(&PipelineOutput) -> ExperimentResult + Send + Sync>;
+/// One experiment job: a pure function of the pipeline output (and of
+/// the Section V estimates it captures).
+type ExperimentJob<'a> = Box<dyn Fn(&PipelineOutput) -> ExperimentResult + Send + Sync + 'a>;
 
 /// The full paper as an ordered job list (appendix included). Each job
 /// is independent of the others, so [`run_all`] can fan them out across
-/// workers without changing the result.
-fn paper_jobs() -> Vec<ExperimentJob> {
+/// workers without changing the result. The Section V jobs build their
+/// figures from the estimates in `ix` (IxMapper) and `es` (EdgeScape).
+fn paper_jobs<'a>(ix: &'a Preferences, es: &'a Preferences) -> Vec<ExperimentJob<'a>> {
     vec![
         Box::new(table1),
         Box::new(|_| table2()),
@@ -44,10 +46,10 @@ fn paper_jobs() -> Vec<ExperimentJob> {
         Box::new(table4),
         Box::new(fig1),
         Box::new(|out| fig2(out, MapperKind::IxMapper)),
-        Box::new(|out| fig4(out, MapperKind::IxMapper)),
-        Box::new(|out| fig5(out, MapperKind::IxMapper)),
-        Box::new(|out| fig6(out, MapperKind::IxMapper)),
-        Box::new(|out| table5(out, MapperKind::IxMapper)),
+        Box::new(|_| fig4_of(ix)),
+        Box::new(|_| fig5_of(ix)),
+        Box::new(|_| fig6_of(ix)),
+        Box::new(|_| table5_of(ix)),
         Box::new(fig7),
         Box::new(fig8),
         Box::new(fig9),
@@ -62,34 +64,10 @@ fn paper_jobs() -> Vec<ExperimentJob> {
                 "Figure 11 (EdgeScape)",
             )
         }),
-        Box::new(|out| {
-            relabel(
-                fig4(out, MapperKind::EdgeScape),
-                "fig12",
-                "Figure 12 (EdgeScape)",
-            )
-        }),
-        Box::new(|out| {
-            relabel(
-                fig5(out, MapperKind::EdgeScape),
-                "fig13",
-                "Figure 13 (EdgeScape)",
-            )
-        }),
-        Box::new(|out| {
-            relabel(
-                fig6(out, MapperKind::EdgeScape),
-                "fig14",
-                "Figure 14 (EdgeScape)",
-            )
-        }),
-        Box::new(|out| {
-            relabel(
-                table5(out, MapperKind::EdgeScape),
-                "table5es",
-                "Table V (EdgeScape)",
-            )
-        }),
+        Box::new(|_| relabel(fig4_of(es), "fig12", "Figure 12 (EdgeScape)")),
+        Box::new(|_| relabel(fig5_of(es), "fig13", "Figure 13 (EdgeScape)")),
+        Box::new(|_| relabel(fig6_of(es), "fig14", "Figure 14 (EdgeScape)")),
+        Box::new(|_| relabel(table5_of(es), "table5es", "Table V (EdgeScape)")),
         Box::new(fig15),
         Box::new(fig16),
         Box::new(fig17),
@@ -98,13 +76,18 @@ fn paper_jobs() -> Vec<ExperimentJob> {
 
 /// Runs every experiment in paper order (appendix included).
 ///
-/// Experiments are independent, so they are dispatched across the
-/// engine's worker pool (`GEOTOPO_THREADS`, defaulting to available
-/// parallelism); results always come back in paper order regardless of
-/// how the jobs interleave.
+/// The twelve distance-preference estimates behind Section V (two
+/// mappers × two collectors × three regions) are computed once and
+/// shared by its eight results. Experiments are independent, so they are
+/// dispatched across the engine's worker pool (`GEOTOPO_THREADS`,
+/// defaulting to available parallelism); results always come back in
+/// paper order regardless of how the jobs interleave.
 pub fn run_all(out: &PipelineOutput) -> Vec<ExperimentResult> {
-    let jobs = paper_jobs();
     let threads = crate::engine::resolve_threads(0);
+    let mappers = [MapperKind::IxMapper, MapperKind::EdgeScape];
+    let prefs =
+        crate::engine::parallel_map(threads, mappers.len(), |i| Preferences::of(out, mappers[i]));
+    let jobs = paper_jobs(&prefs[0], &prefs[1]);
     crate::engine::parallel_map(threads, jobs.len(), |i| jobs[i](out))
 }
 
@@ -112,32 +95,17 @@ pub fn run_all(out: &PipelineOutput) -> Vec<ExperimentResult> {
 /// Table V (Figures 11–14 in the paper) and the AS figures (15–17).
 // analyze: allow(dead-pub): paper-surface API — the appendix artifacts as one list, separate from run_all
 pub fn appendix(out: &PipelineOutput) -> Vec<ExperimentResult> {
+    let es = Preferences::of(out, MapperKind::EdgeScape);
     vec![
         relabel(
             fig2(out, MapperKind::EdgeScape),
             "fig11",
             "Figure 11 (EdgeScape)",
         ),
-        relabel(
-            fig4(out, MapperKind::EdgeScape),
-            "fig12",
-            "Figure 12 (EdgeScape)",
-        ),
-        relabel(
-            fig5(out, MapperKind::EdgeScape),
-            "fig13",
-            "Figure 13 (EdgeScape)",
-        ),
-        relabel(
-            fig6(out, MapperKind::EdgeScape),
-            "fig14",
-            "Figure 14 (EdgeScape)",
-        ),
-        relabel(
-            table5(out, MapperKind::EdgeScape),
-            "table5es",
-            "Table V (EdgeScape)",
-        ),
+        relabel(fig4_of(&es), "fig12", "Figure 12 (EdgeScape)"),
+        relabel(fig5_of(&es), "fig13", "Figure 13 (EdgeScape)"),
+        relabel(fig6_of(&es), "fig14", "Figure 14 (EdgeScape)"),
+        relabel(table5_of(&es), "table5es", "Table V (EdgeScape)"),
         fig15(out),
         fig16(out),
         fig17(out),
@@ -384,26 +352,44 @@ pub fn fig2(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
     }
 }
 
-/// Computes distance-preference estimates for every study region of one
-/// dataset.
-pub(crate) fn preferences(ds: &GeoDataset) -> Vec<DistancePreference> {
-    RegionBins::paper()
-        .iter()
-        .map(|bins| section5::distance_preference(ds, bins, false))
-        .collect()
+/// One mapper's Section V estimates: a distance preference per study
+/// region for each collector's dataset, Mercator first. Figures 4–6 and
+/// Table V are all built from it.
+struct Preferences {
+    mapper: MapperKind,
+    by_collector: [(Collector, Vec<DistancePreference>); 2],
+}
+
+impl Preferences {
+    fn of(out: &PipelineOutput, mapper: MapperKind) -> Self {
+        let by_collector = [Collector::Mercator, Collector::Skitter].map(|collector| {
+            let ds = &out.dataset(mapper, collector).dataset;
+            let dps = RegionBins::paper()
+                .iter()
+                .map(|bins| section5::distance_preference(ds, bins, false))
+                .collect();
+            (collector, dps)
+        });
+        Preferences {
+            mapper,
+            by_collector,
+        }
+    }
 }
 
 /// Figure 4: the empirical distance preference function, both collectors.
 pub fn fig4(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
+    fig4_of(&Preferences::of(out, mapper))
+}
+
+fn fig4_of(prefs: &Preferences) -> ExperimentResult {
     let mut panels = Vec::new();
-    for collector in [Collector::Mercator, Collector::Skitter] {
-        let ds = &out.dataset(mapper, collector).dataset;
-        let fig = section5::fig4(&preferences(ds), &collector.to_string());
-        panels.extend(fig.panels);
+    for (collector, dps) in &prefs.by_collector {
+        panels.extend(section5::fig4(dps, &collector.to_string()).panels);
     }
     let fig = FigureData {
         id: "Figure 4".into(),
-        title: format!("Empirical Distance Preference Function ({mapper})"),
+        title: format!("Empirical Distance Preference Function ({})", prefs.mapper),
         panels,
     };
     ExperimentResult {
@@ -416,11 +402,14 @@ pub fn fig4(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
 
 /// Figure 5: small-d semi-log views with exponential fits.
 pub fn fig5(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
+    fig5_of(&Preferences::of(out, mapper))
+}
+
+fn fig5_of(prefs: &Preferences) -> ExperimentResult {
     let mut panels = Vec::new();
-    for collector in [Collector::Mercator, Collector::Skitter] {
-        let ds = &out.dataset(mapper, collector).dataset;
-        for dp in preferences(ds) {
-            let (points, fit) = section5::fig5_fit(&dp);
+    for (collector, dps) in &prefs.by_collector {
+        for dp in dps {
+            let (points, fit) = section5::fig5_fit(dp);
             panels.push(Panel {
                 label: format!("{} ({collector})", dp.region),
                 series: vec![Series {
@@ -434,7 +423,7 @@ pub fn fig5(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
     }
     let fig = FigureData {
         id: "Figure 5".into(),
-        title: format!("Distance Preference, Small d, Semi-Log ({mapper})"),
+        title: format!("Distance Preference, Small d, Semi-Log ({})", prefs.mapper),
         panels,
     };
     ExperimentResult {
@@ -448,11 +437,14 @@ pub fn fig5(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
 /// Figure 6: cumulated preference over large d with linear fits.
 // analyze: allow(dead-pub): paper-surface API — individually addressable artifact also produced by run_all
 pub fn fig6(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
+    fig6_of(&Preferences::of(out, mapper))
+}
+
+fn fig6_of(prefs: &Preferences) -> ExperimentResult {
     let mut panels = Vec::new();
-    for collector in [Collector::Mercator, Collector::Skitter] {
-        let ds = &out.dataset(mapper, collector).dataset;
-        for dp in preferences(ds) {
-            let (points, fit) = section5::fig6_cumulated(&dp);
+    for (collector, dps) in &prefs.by_collector {
+        for dp in dps {
+            let (points, fit) = section5::fig6_cumulated(dp);
             panels.push(Panel {
                 label: format!("{} ({collector})", dp.region),
                 series: vec![Series {
@@ -466,7 +458,7 @@ pub fn fig6(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
     }
     let fig = FigureData {
         id: "Figure 6".into(),
-        title: format!("Cumulated Distance Preference, Large d ({mapper})"),
+        title: format!("Cumulated Distance Preference, Large d ({})", prefs.mapper),
         panels,
     };
     ExperimentResult {
@@ -479,6 +471,10 @@ pub fn fig6(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
 
 /// Table V: limits of distance sensitivity, both collectors.
 pub fn table5(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
+    table5_of(&Preferences::of(out, mapper))
+}
+
+fn table5_of(prefs: &Preferences) -> ExperimentResult {
     let mut t = TextTable::new(
         "Table V — Limits of distance sensitivity",
         &[
@@ -490,10 +486,9 @@ pub fn table5(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
         ],
     );
     let mut rows_json = Vec::new();
-    for collector in [Collector::Mercator, Collector::Skitter] {
-        let ds = &out.dataset(mapper, collector).dataset;
-        for dp in preferences(ds) {
-            if let Some(row) = section5::sensitivity_limit(&dp) {
+    for (collector, dps) in &prefs.by_collector {
+        for dp in dps {
+            if let Some(row) = section5::sensitivity_limit(dp) {
                 t.row(&[
                     collector.to_string(),
                     row.region.clone(),
@@ -510,7 +505,10 @@ pub fn table5(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
     }
     ExperimentResult {
         id: "table5".into(),
-        title: format!("Table V — Limits of distance sensitivity ({mapper})"),
+        title: format!(
+            "Table V — Limits of distance sensitivity ({})",
+            prefs.mapper
+        ),
         text: t.render(),
         json: serde_json::json!({ "rows": rows_json }),
     }
@@ -847,6 +845,29 @@ mod tests {
         }
         for r in &results {
             assert!(!r.text.is_empty(), "{} empty", r.id);
+        }
+    }
+
+    #[test]
+    fn run_all_section5_matches_the_public_builders() {
+        let out = output();
+        let all = run_all(&out);
+        let (ix, es) = (MapperKind::IxMapper, MapperKind::EdgeScape);
+        let want = [
+            fig4(&out, ix),
+            fig5(&out, ix),
+            fig6(&out, ix),
+            table5(&out, ix),
+            relabel(fig4(&out, es), "fig12", "Figure 12 (EdgeScape)"),
+            relabel(fig5(&out, es), "fig13", "Figure 13 (EdgeScape)"),
+            relabel(fig6(&out, es), "fig14", "Figure 14 (EdgeScape)"),
+            relabel(table5(&out, es), "table5es", "Table V (EdgeScape)"),
+        ];
+        for w in &want {
+            let got = all.iter().find(|r| r.id == w.id).expect("run_all has it");
+            assert_eq!(got.title, w.title, "{}", w.id);
+            assert_eq!(got.text, w.text, "{}", w.id);
+            assert_eq!(got.json, w.json, "{}", w.id);
         }
     }
 

@@ -7,9 +7,12 @@
 //! ```
 //!
 //! - [`distance_preference`] estimates f̂ for one region (Figure 4). The
-//!   denominator over all node pairs is O(n²); at scale we use a
-//!   grid-convolution estimator (cells of half a bin width; cell pairs
-//!   contribute `n₁·n₂` pairs at their centre distance).
+//!   exact denominator counts node pairs per distinct location (a
+//!   location holding `c` nodes contributes `c·(c−1)/2` pairs, two
+//!   locations `c₁·c₂`), so it costs O(locations²). Above a threshold on
+//!   the number of in-region nodes we use a grid-convolution estimator
+//!   (cells of half a bin width; cell pairs contribute `n₁·n₂` pairs at
+//!   their centre distance, in-cell pairs sit at 0.5214 × the cell side).
 //! - [`fig5_fit`] fits `ln f(d)` on `d` over the small-`d` regime — a
 //!   straight line means Waxman-form exponential decay (Figure 5).
 //! - [`fig6_cumulated`] cumulates f over the large-`d` regime and fits a
@@ -20,7 +23,7 @@
 
 use crate::pipeline::GeoDataset;
 use crate::report::{FigureData, Panel, Series};
-use geotopo_geo::{haversine_miles, PatchGrid, Region, RegionSet};
+use geotopo_geo::{haversine_miles, GeoPoint, PatchGrid, Region, RegionSet};
 use geotopo_stats::{fit_line, fit_semilog, BinnedRatio, LinearFit};
 use serde::{Deserialize, Serialize};
 
@@ -80,8 +83,10 @@ pub struct DistancePreference {
 
 /// Estimates f̂(d) for one region.
 ///
-/// `exact_pairs` forces the O(n²) denominator; otherwise the
-/// grid-convolution approximation is used above 4,000 in-region nodes.
+/// `exact_pairs` forces the exact denominator, whose cost is quadratic in
+/// the number of distinct in-region locations; otherwise the
+/// grid-convolution approximation is used above 4,000 in-region nodes
+/// (the threshold counts nodes, not locations).
 pub fn distance_preference(
     dataset: &GeoDataset,
     bins: &RegionBins,
@@ -90,9 +95,9 @@ pub fn distance_preference(
     distance_preference_with_threshold(dataset, bins, exact_pairs, 4000)
 }
 
-/// [`distance_preference`] with an explicit node-count threshold above
-/// which the grid-convolution denominator is used (exposed for the
-/// accuracy ablation bench and tests).
+/// [`distance_preference`] with an explicit in-region node-count
+/// threshold above which the grid-convolution denominator is used
+/// (exposed for the accuracy ablation bench and tests).
 pub fn distance_preference_with_threshold(
     dataset: &GeoDataset,
     bins: &RegionBins,
@@ -123,11 +128,7 @@ pub fn distance_preference_with_threshold(
 
     // Denominator: node-pair distances.
     if exact_pairs || members.len() <= grid_threshold {
-        for i in 0..members.len() {
-            for j in (i + 1)..members.len() {
-                binned.add_den(haversine_miles(&members[i], &members[j]));
-            }
-        }
+        add_member_pairs(&mut binned, &members);
     } else {
         // Grid convolution: half-bin cells.
         let cell_arcmin = (bins.bin_miles / 2.0) / 69.0 * 60.0;
@@ -171,6 +172,34 @@ pub fn distance_preference_with_threshold(
         small_d_miles: bins.small_d_miles,
         n_nodes: members.len(),
         n_links,
+    }
+}
+
+/// Adds every unordered pair of `members` to the denominator, exactly.
+///
+/// City-granular mapping snaps most members onto shared coordinates, so
+/// the pairs are counted per distinct location: a location holding `c`
+/// members adds `c·(c−1)/2` pairs at its self-distance and two locations
+/// holding `c₁` and `c₂` add `c₁·c₂` pairs at their distance. Locations
+/// are keyed by the coordinates' bit patterns, so each pair is binned at
+/// the same `haversine_miles` value as a loop over member pairs would
+/// give (the formula is symmetric in its arguments), in O(locations²).
+fn add_member_pairs(binned: &mut BinnedRatio, members: &[GeoPoint]) {
+    let key = |p: &GeoPoint| (p.lat().to_bits(), p.lon().to_bits());
+    let mut sorted = members.to_vec();
+    sorted.sort_unstable_by_key(key);
+    let mut groups: Vec<(GeoPoint, u64)> = Vec::new();
+    for p in sorted {
+        match groups.last_mut() {
+            Some((last, c)) if key(last) == key(&p) => *c += 1,
+            _ => groups.push((p, 1)),
+        }
+    }
+    for (k, &(p, c)) in groups.iter().enumerate() {
+        binned.add_den_n(haversine_miles(&p, &p), c * (c - 1) / 2);
+        for &(q, c2) in &groups[k + 1..] {
+            binned.add_den_n(haversine_miles(&p, &q), c * c2);
+        }
     }
 }
 
@@ -299,7 +328,6 @@ mod tests {
     use super::*;
     use crate::pipeline::GeoNode;
     use geotopo_bgp::AsId;
-    use geotopo_geo::GeoPoint;
     use geotopo_measure::NodeKind;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -415,6 +443,109 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The all-pairs loop that [`add_member_pairs`] replaced: one
+    /// `haversine_miles` per member pair, in member order.
+    fn all_pairs_reference(binned: &mut BinnedRatio, members: &[GeoPoint]) {
+        for i in 0..members.len() {
+            for j in (i + 1)..members.len() {
+                binned.add_den(haversine_miles(&members[i], &members[j]));
+            }
+        }
+    }
+
+    /// Checks the grouped denominator against the all-pairs reference:
+    /// every bin, the overflow and rejected counts, and the in-range total.
+    fn assert_member_pairs_match(members: &[GeoPoint], bin_miles: f64) {
+        let mut grouped = BinnedRatio::new(bin_miles, 100);
+        add_member_pairs(&mut grouped, members);
+        let mut reference = BinnedRatio::new(bin_miles, 100);
+        all_pairs_reference(&mut reference, members);
+        let den = |b: &BinnedRatio| b.ratios().iter().map(|r| r.den).collect::<Vec<_>>();
+        assert_eq!(den(&grouped), den(&reference));
+        assert_eq!(grouped.den_total(), reference.den_total());
+        // The serialized histogram carries the overflow and rejected counts.
+        let json = |b: &BinnedRatio| serde_json::to_value(b).unwrap()["denominator"].clone();
+        assert_eq!(json(&grouped), json(&reference));
+        let n = members.len() as u64;
+        let overflow = json(&grouped)["overflow"].as_u64().unwrap();
+        assert_eq!(grouped.den_total() + overflow, n * n.saturating_sub(1) / 2);
+    }
+
+    fn point(lat: f64, lon: f64) -> GeoPoint {
+        GeoPoint::new(lat, lon).unwrap()
+    }
+
+    #[test]
+    fn grouped_pairs_match_all_pairs_with_heavy_colocation() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let sites: Vec<GeoPoint> = (0..25)
+            .map(|_| {
+                point(
+                    rng.random_range(26.0..49.0),
+                    rng.random_range(-124.0..-68.0),
+                )
+            })
+            .collect();
+        let members: Vec<GeoPoint> = (0..700)
+            .map(|_| sites[rng.random_range(0..sites.len())])
+            .collect();
+        assert_member_pairs_match(&members, 35.0);
+    }
+
+    #[test]
+    fn grouped_pairs_match_all_pairs_when_all_distinct() {
+        let mut rng = StdRng::seed_from_u64(22);
+        let members: Vec<GeoPoint> = (0..300)
+            .map(|_| {
+                point(
+                    rng.random_range(-60.0..70.0),
+                    rng.random_range(-180.0..180.0),
+                )
+            })
+            .collect();
+        assert_member_pairs_match(&members, 35.0);
+    }
+
+    #[test]
+    fn grouped_pairs_match_all_pairs_across_the_antimeridian() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let sites: Vec<GeoPoint> = (0..12)
+            .map(|i| {
+                let lon = rng.random_range(179.0..180.0);
+                point(
+                    rng.random_range(-20.0..20.0),
+                    if i % 2 == 0 { lon } else { -lon },
+                )
+            })
+            .chain([point(0.0, 180.0), point(0.0, -179.999)])
+            .collect();
+        let members: Vec<GeoPoint> = (0..200)
+            .map(|_| sites[rng.random_range(0..sites.len())])
+            .collect();
+        assert_member_pairs_match(&members, 11.0);
+    }
+
+    #[test]
+    fn grouped_pairs_match_all_pairs_for_signed_zeros() {
+        // Latitude keeps the sign of zero, so `0.0` and `-0.0` are two
+        // locations at distance zero; longitude normalizes `-0.0` away.
+        let sites = [
+            point(0.0, 10.0),
+            point(-0.0, 10.0),
+            point(5.0, 0.0),
+            point(5.0, -0.0),
+            point(-0.0, -0.0),
+        ];
+        let members: Vec<GeoPoint> = (0..40).map(|i| sites[i * 7 % sites.len()]).collect();
+        assert_member_pairs_match(&members, 11.0);
+    }
+
+    #[test]
+    fn grouped_pairs_match_all_pairs_for_tiny_inputs() {
+        assert_member_pairs_match(&[], 35.0);
+        assert_member_pairs_match(&[point(40.0, -75.0)], 35.0);
     }
 
     #[test]

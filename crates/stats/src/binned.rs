@@ -74,7 +74,8 @@ impl BinnedRatio {
         self.denominator.add(d);
     }
 
-    /// Records `n` denominator observations at `d` (grid-convolution path).
+    /// Records `n` denominator observations at `d` (pairs counted per
+    /// location or grid cell).
     pub fn add_den_n(&mut self, d: f64, n: u64) {
         self.denominator.add_n(d, n);
     }

@@ -138,8 +138,9 @@ impl Histogram {
         self.add_n(value, 1);
     }
 
-    /// Adds `n` identical observations (used by the grid-convolution
-    /// pair-count estimator where a cell pair contributes `n1·n2` pairs).
+    /// Adds `n` identical observations; the result equals `n` calls to
+    /// [`Histogram::add`]. The Section V pair counts use it: a location
+    /// (or grid cell) pair contributes `n1·n2` pairs at one distance.
     pub fn add_n(&mut self, value: f64, n: u64) {
         if !value.is_finite() || value < 0.0 {
             self.rejected += n;
